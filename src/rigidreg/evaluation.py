@@ -23,7 +23,7 @@ from numpy.typing import NDArray
 from .correspondence import CorrespondenceSet, OracleWeighter
 from .errors import RegistrationError
 from .geometry import F64, PointCloud, RigidTransform
-from .pipeline import PipelineConfig, register, resolve_weighter
+from .pipeline import PipelineConfig, parse_weighter_spec, register, resolve_weighter
 from .results import RegistrationResult
 
 # default sweep grids for the recall-vs-threshold curves
@@ -332,12 +332,10 @@ def _materialize(entry):
 def _run_one(pair_id: int, entry, cfg: PipelineConfig, re_t: float, te_t: float,
              weighter=None):
     source, target, truth = _materialize(entry)
-    if weighter is not None:
-        provider = weighter
-    elif cfg.weighter.startswith("oracle"):
+    provider = weighter
+    # only the oracle needs the ground truth; register resolves the rest
+    if provider is None and parse_weighter_spec(cfg.weighter)[0] == "oracle":
         provider = resolve_weighter(cfg.weighter, ground_truth=truth)
-    else:
-        provider = resolve_weighter(cfg.weighter)
     try:
         result: RegistrationResult = register(source, target, cfg, weighter=provider)
     except RegistrationError as exc:

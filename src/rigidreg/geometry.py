@@ -179,18 +179,10 @@ def voxel_downsample(cloud: PointCloud, voxel_size: float, seed: int) -> PointCl
     return PointCloud(cloud.points[chosen], feats)
 
 
-def occupied_voxel_count(points: Points, voxel_size: float) -> int:
-    """Number of distinct voxel cells covering ``points`` (same hash as
-    :func:`voxel_downsample`)."""
-    keys = np.floor(np.asarray(points, dtype=np.float64) / voxel_size).astype(np.int64)
-    return int(np.unique(keys, axis=0).shape[0])
-
-
 class SpatialIndex:
     """Exact Euclidean 1-nearest-neighbor index over a fixed set of vectors.
 
-    Ties are broken toward the lowest stored index, matching the brute-force
-    scan, so both query paths are interchangeable in tests.
+    Ties are broken toward the lowest stored index, as a linear scan would.
     """
 
     def __init__(self, data: np.ndarray):
@@ -256,16 +248,3 @@ def build_index(cloud: PointCloud, space: str = "coordinates") -> SpatialIndex:
             raise MissingFeatures("cloud has no features to index")
         return SpatialIndex(cloud.features)
     raise ValueError(f"unknown index space {space!r}")
-
-
-def nearest_bruteforce(data: np.ndarray, queries: np.ndarray) -> tuple[NDArray[np.int64], NDArray[F64]]:
-    """Reference linear-scan nearest neighbor (ties to lowest index)."""
-    data = np.asarray(data, dtype=np.float64)
-    q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    idx = np.empty(q.shape[0], dtype=np.int64)
-    dist = np.empty(q.shape[0], dtype=np.float64)
-    for row in range(q.shape[0]):
-        d = np.linalg.norm(data - q[row], axis=1)
-        idx[row] = int(np.argmin(d))
-        dist[row] = d[idx[row]]
-    return idx, dist

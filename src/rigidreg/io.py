@@ -19,7 +19,7 @@ from .correspondence import FeatureConfig
 from .errors import FileFormatError, NotARotation, UnsupportedFormat
 from .evaluation import BenchmarkReport, FilePairSpec, SyntheticPairSpec
 from .geometry import PointCloud, RigidTransform
-from .pipeline import PipelineConfig
+from .pipeline import PipelineConfig, parse_weighter_spec
 from .ransac import RansacConfig
 from .refine import RefineConfig
 from .results import RegistrationResult
@@ -332,23 +332,6 @@ def write_weight_file(path, source_size: int, target_size: int, pairs, weights) 
 # config files
 # ---------------------------------------------------------------------------
 
-_WEIGHTER_NAMES = ("uniform", "heuristic")
-
-
-def _parse_weighter_value(value: str, where: str) -> str:
-    if value in _WEIGHTER_NAMES or value == "oracle":
-        return value
-    if value.startswith("file:") and len(value) > len("file:"):
-        return value
-    if value.startswith("oracle:"):
-        try:
-            float(value[len("oracle:"):])
-        except ValueError:
-            raise FileFormatError(f"{where}: bad oracle tau in {value!r}") from None
-        return value
-    raise FileFormatError(f"{where}: unknown weighter {value!r}")
-
-
 # key -> (section, field, converter); flat keys configure the pipeline,
 # dotted keys configure the nested feature/refine/ransac blocks
 _CONFIG_KEYS = {
@@ -362,7 +345,6 @@ _CONFIG_KEYS = {
     "feature.bins": ("feature", "bins", int),
     "refine.huber_delta": ("refine", "huber_delta", float),
     "refine.max_iters": ("refine", "max_iters", int),
-    "refine.step_size": ("refine", "step_size", float),
     "refine.convergence_tol": ("refine", "convergence_tol", float),
     "ransac.max_iterations": ("ransac", "max_iterations", int),
     "ransac.inlier_threshold": ("ransac", "inlier_threshold", float),
@@ -402,7 +384,11 @@ def parse_config_file(path) -> PipelineConfig:
         seen[key] = index
         section, field, converter = _CONFIG_KEYS[key]
         if key == "weighter":
-            sections[section][field] = _parse_weighter_value(value, where)
+            try:
+                parse_weighter_spec(value)
+            except ValueError as exc:
+                raise FileFormatError(f"{where}: {exc}") from None
+            sections[section][field] = value
             continue
         try:
             sections[section][field] = converter(value)

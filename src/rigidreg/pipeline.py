@@ -13,6 +13,7 @@ reason recorded on the result.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 
@@ -79,30 +80,47 @@ class PipelineConfig:
             )
 
 
+def parse_weighter_spec(spec: str) -> tuple[str, str | float | None]:
+    """Split a provider name into its kind and argument: ("uniform", None),
+    ("heuristic", None), ("file", PATH) or ("oracle", TAU or None).
+
+    Raises ValueError naming an unknown weighter or an oracle tau that is
+    not a positive number.
+    """
+    if spec in ("uniform", "heuristic", "oracle"):
+        return spec, None
+    if spec.startswith("file:") and len(spec) > len("file:"):
+        return "file", spec[len("file:"):]
+    if spec.startswith("oracle:"):
+        try:
+            tau = float(spec[len("oracle:"):])
+        except ValueError:
+            tau = math.nan
+        if not tau > 0:
+            raise ValueError(f"bad oracle tau in {spec!r}: expected a positive number")
+        return "oracle", tau
+    raise ValueError(
+        f"unknown weighter {spec!r} (expected uniform, heuristic, file:PATH or oracle[:TAU])"
+    )
+
+
 def resolve_weighter(spec: str, ground_truth=None, oracle_tau: float = 0.1) -> WeightProvider:
     """Instantiate the provider named by a config string."""
     from .correspondence import OracleWeighter
 
-    if spec == "uniform":
+    kind, argument = parse_weighter_spec(spec)
+    if kind == "uniform":
         return UniformWeighter()
-    if spec == "heuristic":
+    if kind == "heuristic":
         return HeuristicWeighter()
-    if spec.startswith("file:"):
-        path = spec[len("file:"):]
-        if not path:
-            raise ValueError("file weighter needs a path: file:PATH")
-        return FileWeighter(path)
-    if spec == "oracle" or spec.startswith("oracle:"):
-        if ground_truth is None:
-            raise ValueError(
-                "oracle weighter requires a ground-truth transform; it is only "
-                "available where one is known (synthetic benchmarks)"
-            )
-        tau = oracle_tau
-        if spec.startswith("oracle:"):
-            tau = float(spec[len("oracle:"):])
-        return OracleWeighter(ground_truth, tau)
-    raise ValueError(f"unknown weighter {spec!r}")
+    if kind == "file":
+        return FileWeighter(argument)
+    if ground_truth is None:
+        raise ValueError(
+            "oracle weighter requires a ground-truth transform; it is only "
+            "available where one is known (synthetic benchmarks)"
+        )
+    return OracleWeighter(ground_truth, oracle_tau if argument is None else argument)
 
 
 def _core(

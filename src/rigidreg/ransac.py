@@ -32,7 +32,6 @@ _DRAW_CAP_FACTOR = 10
 @dataclass(frozen=True)
 class RansacConfig:
     max_iterations: int = 10_000
-    sample_size: int = 3
     inlier_threshold: float = 0.05
     confidence: float = 0.999
     seed: int = 0
@@ -40,8 +39,6 @@ class RansacConfig:
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if self.sample_size != 3:
-            raise ValueError("sample_size is fixed at 3 for rigid 3D fits")
         if not self.inlier_threshold > 0:
             raise ValueError("inlier_threshold must be positive")
         if not 0.0 < self.confidence < 1.0:
@@ -58,12 +55,8 @@ def inlier_fraction(weights: WeightVector, tau: float) -> float:
     return float(np.where(w > tau, w, 0.0).sum() / n)
 
 
-def _fit_three(Xs: np.ndarray, Ys: np.ndarray):
-    uniform = NormalizedWeights(np.full(3, 1.0 / 3.0), 0.0, 3.0)
-    return solve(Xs, Ys, uniform).transform
-
-
-def _fit_consensus(Xs: np.ndarray, Ys: np.ndarray):
+def _fit(Xs: np.ndarray, Ys: np.ndarray):
+    """Unweighted rigid fit: the closed-form solve under uniform weights."""
     n = Xs.shape[0]
     uniform = NormalizedWeights(np.full(n, 1.0 / n), 0.0, float(n))
     return solve(Xs, Ys, uniform).transform
@@ -105,7 +98,7 @@ def ransac_register(
         if np.linalg.norm(np.cross(b - a, c - a)) <= _COLLINEAR_TOL:
             continue  # degenerate sample, does not consume a hypothesis
         try:
-            model = _fit_three(Xm[sample], Ym[sample])
+            model = _fit(Xm[sample], Ym[sample])
         except DegenerateConfiguration:
             continue
         hypothesis += 1
@@ -140,7 +133,7 @@ def ransac_register(
         )
 
     try:
-        refit = _fit_consensus(Xm[best_inliers], Ym[best_inliers])
+        refit = _fit(Xm[best_inliers], Ym[best_inliers])
     except DegenerateConfiguration:
         refit = best_transform  # consensus collinear; keep the minimal fit
 

@@ -1,4 +1,4 @@
-"""Robust pose fine-tuning over the continuous 6D rotation representation.
+"""Robust pose fine-tuning, and the continuous 6D rotation representation.
 
 A rotation is parameterized by two 3-vectors (a1, a2); Gram-Schmidt plus a
 cross product maps them to an orthonormal matrix:
@@ -6,10 +6,15 @@ cross product maps them to an orthonormal matrix:
     b1 = N(a1),  b2 = N(a2 - (b1 . a2) b1),  b3 = b1 x b2,
 
 with N the L2 normalization. The inverse simply reads the first two matrix
-columns. Refinement runs first-order descent on (a1, a2, t) against a
-prefiltered Huber energy, with step halving so the recorded energy sequence
-never increases. Weights are fixed for the whole run; correspondences are
-never re-matched.
+columns. :func:`energy` is a prefiltered Huber energy of the residuals and
+:func:`energy_gradient` its exact gradient in (a1, a2, t), the
+differentiable interface for callers that train through the pose.
+
+Refinement minimizes that energy by iteratively reweighted least squares:
+every step is one weighted closed-form solve (:func:`procrustes.solve`)
+with Huber weights w_i * min(1, delta / r_i), a majorize-minimize scheme
+whose recorded energy sequence never increases. Weights are fixed for the
+whole run; correspondences are never re-matched.
 """
 
 from __future__ import annotations
@@ -17,14 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.typing import NDArray
 
 from .correspondence import CorrespondenceSet, WeightVector
 from .errors import DegenerateRepresentation, NoActiveCorrespondences, NotARotation
-from .geometry import F64, Mat3, PointCloud, RigidTransform, Vec3
+from .geometry import Mat3, PointCloud, RigidTransform, Vec3
+from .procrustes import NormalizedWeights, solve
 
 _PARALLEL_TOL = 1e-12
-_MAX_HALVINGS = 60
 
 
 @dataclass(frozen=True)
@@ -58,7 +62,6 @@ class RefineConfig:
     prefilter_tau: float = 0.4
     huber_delta: float = 0.05
     max_iters: int = 200
-    step_size: float = 0.1
     convergence_tol: float = 1e-8
 
     def __post_init__(self) -> None:
@@ -68,8 +71,6 @@ class RefineConfig:
             raise ValueError("huber_delta must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if not self.step_size > 0:
-            raise ValueError("step_size must be positive")
         if not self.convergence_tol > 0:
             raise ValueError("convergence_tol must be positive")
 
@@ -201,7 +202,7 @@ def energy_gradient(
 
 
 # ---------------------------------------------------------------------------
-# descent loop
+# reweighted solve loop
 # ---------------------------------------------------------------------------
 
 def refine(
@@ -212,67 +213,54 @@ def refine(
     weights: WeightVector,
     cfg: RefineConfig,
 ) -> tuple[RigidTransform, RefineTrace]:
-    """Descend the Huber energy from an initial pose.
+    """Lower the Huber energy from an initial pose by iteratively reweighted
+    least squares.
 
-    Each iteration restarts from ``step_size`` and halves until the energy
-    strictly decreases; if no halving helps, the pose is a local minimum at
-    this resolution and the loop reports convergence. The returned rotation
-    is rebuilt through the 6D map, so it is orthonormal by construction.
+    Each iteration takes the residuals r_i of the active pairs at the
+    current pose and solves the weighted Procrustes problem with weights
+    w_i * min(1, delta / r_i). That quadratic majorizes the Huber energy and
+    touches it at the current pose, so its minimizer never raises the
+    energy. A step is accepted only if :func:`energy` strictly decreases;
+    the loop reports convergence when no step decreases it, or when the
+    decrease is at most ``convergence_tol`` relative to max(|E|, 1). The
+    returned rotation is rebuilt through the 6D map.
+
+    Raises NoActiveCorrespondences when no weight exceeds prefilter_tau,
+    and the solver's TooFewCorrespondences or DegenerateConfiguration when
+    the active pairs are fewer than 3 or collinear, since the pose is then
+    underdetermined.
     """
-    # raises NoActiveCorrespondences before any work when nothing survives
-    _active_arrays(matches, source, target, weights, cfg.prefilter_tau)
+    Xa, Ya, wa = _active_arrays(matches, source, target, weights, cfg.prefilter_tau)
 
-    a = matrix_to_rot6d(init.rotation)
-    params = np.concatenate([a.a1, a.a2, init.translation])
-
-    def unpack(p):
-        return Rot6D(p[0:3], p[3:6]), p[6:9]
-
-    def safe_energy(p):
-        try:
-            rot, trans = unpack(p)
-        except DegenerateRepresentation:
-            return np.inf
-        return energy(rot, trans, matches, source, target, weights, cfg)
-
-    current = safe_energy(params)
+    rot = matrix_to_rot6d(init.rotation)
+    R = rot6d_to_matrix(rot)
+    t = np.asarray(init.translation, dtype=np.float64)
+    current = energy(rot, t, matches, source, target, weights, cfg)
     energies = [current]
     iterations = 0
     termination = "max_iters"
 
     for _ in range(cfg.max_iters):
         iterations += 1
-        rot, trans = unpack(params)
-        ga1, ga2, gt = energy_gradient(rot, trans, matches, source, target, weights, cfg)
-        grad = np.concatenate([ga1, ga2, gt])
-        grad_norm = float(np.linalg.norm(grad))
-        if grad_norm == 0.0:
-            termination = "converged"
-            break
-
-        step = cfg.step_size
-        candidate = safe_energy(params - step * grad)
-        halvings = 0
-        while candidate >= current and halvings < _MAX_HALVINGS:
-            step *= 0.5
-            halvings += 1
-            candidate = safe_energy(params - step * grad)
-        if candidate >= current:
-            # no descent available along the gradient at any tried scale
-            termination = "converged"
-            break
-
-        params = params - step * grad
+        r = np.linalg.norm(Xa @ R.T + t - Ya, axis=1)
+        v = wa * (cfg.huber_delta / np.maximum(r, cfg.huber_delta))
+        total = float(v.sum())
+        step = solve(Xa, Ya, NormalizedWeights(v / total, 0.0, total)).transform
+        # keep the rotation as the 6D map rebuilds it: the pose energy() scores
+        candidate_rot = matrix_to_rot6d(step.rotation)
+        candidate = energy(candidate_rot, step.translation, matches, source, target, weights, cfg)
         decrease = current - candidate
+        if not decrease > 0.0:
+            termination = "converged"
+            break
+
+        R, t = rot6d_to_matrix(candidate_rot), step.translation
         current = candidate
         energies.append(current)
-        if decrease <= cfg.convergence_tol * max(abs(current), 1.0) or (
-            step * grad_norm <= cfg.convergence_tol
-        ):
+        if decrease <= cfg.convergence_tol * max(abs(current), 1.0):
             termination = "converged"
             break
 
-    rot, trans = unpack(params)
-    final = RigidTransform(rot6d_to_matrix(rot), trans)
+    final = RigidTransform(R, t)
     trace = RefineTrace(tuple(energies), iterations, termination)
     return final, trace

@@ -66,6 +66,27 @@ def nearest_linear(data: np.ndarray, query: np.ndarray):
     return best, best_d
 
 
+def nearest_bruteforce(data: np.ndarray, queries: np.ndarray):
+    """Linear-scan nearest neighbor of each query row (ties to the lowest
+    index); returns the index and distance arrays."""
+    data = np.asarray(data, dtype=np.float64)
+    q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+    idx = np.empty(q.shape[0], dtype=np.int64)
+    dist = np.empty(q.shape[0], dtype=np.float64)
+    for row in range(q.shape[0]):
+        d = np.linalg.norm(data - q[row], axis=1)
+        idx[row] = int(np.argmin(d))
+        dist[row] = d[idx[row]]
+    return idx, dist
+
+
+def occupied_voxel_count(points: np.ndarray, voxel_size: float) -> int:
+    """Number of distinct voxel cells covering ``points`` (floor of the
+    coordinates over the cell size, the hash voxel downsampling uses)."""
+    keys = np.floor(np.asarray(points, dtype=np.float64) / voxel_size).astype(np.int64)
+    return int(np.unique(keys, axis=0).shape[0])
+
+
 def central_difference(f, x: np.ndarray, h: float) -> np.ndarray:
     """Central finite differences of a scalar function over a flat vector."""
     x = np.asarray(x, dtype=np.float64)

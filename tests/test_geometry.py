@@ -20,9 +20,7 @@ from rigidreg import (
     orthonormalize,
     voxel_downsample,
 )
-from rigidreg.geometry import nearest_bruteforce, occupied_voxel_count
-
-from _oracles import nearest_linear, rodrigues, rot_z
+from _oracles import nearest_bruteforce, nearest_linear, occupied_voxel_count, rodrigues, rot_z
 
 
 # ---------------------------------------------------------------------------

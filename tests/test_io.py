@@ -319,7 +319,6 @@ def test_config_full_round_trip(tmp_path):
         "feature.bins = 16\n"
         "refine.huber_delta = 0.02\n"
         "refine.max_iters = 77\n"
-        "refine.step_size = 0.05\n"
         "refine.convergence_tol = 1e-9\n"
         "ransac.max_iterations = 500\n"
         "ransac.inlier_threshold = 0.2\n"
@@ -334,7 +333,7 @@ def test_config_full_round_trip(tmp_path):
     assert cfg.weighter == "oracle:0.25"
     assert cfg.feature.radius == 0.5 and cfg.feature.bins == 16
     assert cfg.refine.huber_delta == 0.02 and cfg.refine.max_iters == 77
-    assert cfg.refine.step_size == 0.05 and cfg.refine.convergence_tol == 1e-9
+    assert cfg.refine.convergence_tol == 1e-9
     assert cfg.ransac.max_iterations == 500
     assert cfg.ransac.inlier_threshold == 0.2
     assert cfg.ransac.confidence == 0.99 and cfg.ransac.seed == 3
@@ -358,6 +357,7 @@ def test_config_ransac_threshold_defaults_to_voxel_size(tmp_path):
     "content, fragment",
     [
         ("vexel_size = 0.1\n", "unknown key 'vexel_size'"),
+        ("refine.step_size = 0.05\n", "unknown key 'refine.step_size'"),
         ("voxel_size = 0.1\nvoxel_size = 0.2\n", ":2: duplicate key"),
         ("voxel_size zero\n", "expected 'key = value'"),
         ("seed = 1.5\n", "cannot parse '1.5' as int"),
@@ -365,6 +365,7 @@ def test_config_ransac_threshold_defaults_to_voxel_size(tmp_path):
         ("weighter = psychic\n", "unknown weighter"),
         ("weighter = file:\n", "unknown weighter"),
         ("weighter = oracle:big\n", "bad oracle tau"),
+        ("weighter = oracle:-1\n", "bad oracle tau"),
     ],
 )
 def test_config_errors_are_located(tmp_path, content, fragment):

@@ -1,10 +1,12 @@
 """End-to-end registration: branch selection, diversion reasons, timings."""
 
+import inspect
 import math
 
 import numpy as np
 import pytest
 
+import rigidreg
 from rigidreg import (
     CorrespondenceSet,
     EmptyCloud,
@@ -50,8 +52,15 @@ def _identity_matches(n):
 
 
 # ---------------------------------------------------------------------------
-# config and weighter resolution
+# package surface, config and weighter resolution
 # ---------------------------------------------------------------------------
+
+def test_all_lists_every_public_name():
+    public = {
+        name for name in dir(rigidreg)
+        if not name.startswith("_") and not inspect.ismodule(getattr(rigidreg, name))
+    }
+    assert set(rigidreg.__all__) == public
 
 def test_config_validation():
     with pytest.raises(ValueError):

@@ -49,8 +49,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         RansacConfig(max_iterations=0)
     with pytest.raises(ValueError):
-        RansacConfig(sample_size=4)
-    with pytest.raises(ValueError):
         RansacConfig(inlier_threshold=0.0)
     with pytest.raises(ValueError):
         RansacConfig(confidence=1.0)
@@ -101,7 +99,7 @@ def test_unrelated_clouds_yield_no_usable_model(seed):
         res = ransac_register(_identity_matches(n), src, tgt, cfg)
     except NoConsensus:
         return
-    assert res.inlier_fraction * n <= cfg.sample_size + 2
+    assert res.inlier_fraction * n <= 5
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -1,4 +1,4 @@
-"""6D rotation parameterization and robust first-order pose refinement."""
+"""6D rotation parameterization and robust pose refinement."""
 
 import math
 
@@ -7,6 +7,7 @@ import pytest
 
 from rigidreg import (
     CorrespondenceSet,
+    DegenerateConfiguration,
     DegenerateRepresentation,
     NoActiveCorrespondences,
     NotARotation,
@@ -14,6 +15,7 @@ from rigidreg import (
     RefineConfig,
     RigidTransform,
     Rot6D,
+    TooFewCorrespondences,
     WeightVector,
     energy,
     energy_gradient,
@@ -216,7 +218,7 @@ def test_energy_gradient_a1_scaling_is_exact():
 
 
 # ---------------------------------------------------------------------------
-# descent
+# refinement
 # ---------------------------------------------------------------------------
 
 def test_refine_ground_truth_init_is_inert(patch_cloud):
@@ -303,6 +305,55 @@ def test_refine_respects_max_iters(rng):
     assert len(trace.energies) == 2  # initial energy plus one accepted step
 
 
+def _gradient_norm(transform, matches, src, tgt, w, cfg):
+    rot = matrix_to_rot6d(transform.rotation)
+    return float(np.linalg.norm(np.concatenate(
+        energy_gradient(rot, transform.translation, matches, src, tgt, w, cfg)
+    )))
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_refine_ends_at_a_stationary_point(seed):
+    # 200 pairs, 30% displaced by 0.2-1 m: the returned pose must be a
+    # stationary point of the energy, not just a lower one
+    rng = np.random.default_rng(seed)
+    n = 200
+    pts = rng.uniform(-1.0, 1.0, size=(n, 3))
+    R = random_rotation(rng)
+    tv = rng.normal(size=3) * 0.5
+    tgt_pts = pts @ R.T + tv + rng.normal(size=(n, 3)) * 0.01
+    bad = rng.choice(n, size=60, replace=False)
+    offsets = rng.normal(size=(60, 3))
+    offsets /= np.linalg.norm(offsets, axis=1, keepdims=True)
+    tgt_pts[bad] += offsets * rng.uniform(0.2, 1.0, size=(60, 1))
+    src, tgt = PointCloud(pts), PointCloud(tgt_pts)
+    matches = _identity_matches(n)
+    w = WeightVector(rng.uniform(0.5, 1.0, size=n))
+    axis = rng.normal(size=3)
+    init = RigidTransform(rodrigues(axis / np.linalg.norm(axis), math.radians(10.0)) @ R,
+                          tv + rng.normal(size=3) * 0.05)
+    cfg = RefineConfig()
+    final, trace = refine(init, matches, src, tgt, w, cfg)
+    assert trace.termination == "converged"
+    before = _gradient_norm(init, matches, src, tgt, w, cfg)
+    after = _gradient_norm(final, matches, src, tgt, w, cfg)
+    assert after <= 1e-4 * before
+
+
+def test_refine_rejects_an_underdetermined_active_set(rng):
+    pts = rng.normal(size=(6, 3))
+    init = RigidTransform.identity()
+    # two active pairs: the pose is underdetermined
+    w = WeightVector(np.array([0.9, 0.8, 0.1, 0.0, 0.2, 0.3]))
+    with pytest.raises(TooFewCorrespondences):
+        refine(init, _identity_matches(6), PointCloud(pts), PointCloud(pts + 0.1), w, RefineConfig())
+    # active points on one line: the rotation about it is underdetermined
+    line = np.outer(np.arange(6.0), [0.3, -0.2, 0.5])
+    with pytest.raises(DegenerateConfiguration):
+        refine(init, _identity_matches(6), PointCloud(line), PointCloud(line + 0.1),
+               WeightVector(np.ones(6)), RefineConfig())
+
+
 def test_refine_config_validation():
     with pytest.raises(ValueError):
         RefineConfig(prefilter_tau=1.0)
@@ -310,7 +361,5 @@ def test_refine_config_validation():
         RefineConfig(huber_delta=0.0)
     with pytest.raises(ValueError):
         RefineConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        RefineConfig(step_size=0.0)
     with pytest.raises(ValueError):
         RefineConfig(convergence_tol=0.0)
