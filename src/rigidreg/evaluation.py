@@ -331,14 +331,16 @@ def _materialize(entry):
 
 def _run_one(pair_id: int, entry, cfg: PipelineConfig, re_t: float, te_t: float,
              weighter=None):
-    source, target, truth = _materialize(entry)
-    provider = weighter
-    # only the oracle needs the ground truth; register resolves the rest
-    if provider is None and parse_weighter_spec(cfg.weighter)[0] == "oracle":
-        provider = resolve_weighter(cfg.weighter, ground_truth=truth)
+    # a pair whose files are missing or malformed is a failed row, not the
+    # end of the suite; programming errors still propagate
     try:
+        source, target, truth = _materialize(entry)
+        provider = weighter
+        # only the oracle needs the ground truth; register resolves the rest
+        if provider is None and parse_weighter_spec(cfg.weighter)[0] == "oracle":
+            provider = resolve_weighter(cfg.weighter, ground_truth=truth)
         result: RegistrationResult = register(source, target, cfg, weighter=provider)
-    except RegistrationError as exc:
+    except (RegistrationError, OSError) as exc:
         return (
             PairRecord(pair_id, None, None, None, False, type(exc).__name__),
             {},
@@ -372,8 +374,10 @@ def run_benchmark(
 ) -> BenchmarkReport:
     """Register every pair in the suite and aggregate recall and errors.
 
-    Per-pair registration failures are recorded as unsuccessful rows; the
-    suite always runs to completion. Pairs are evaluated in parallel up to
+    Per-pair failures (a registration error, or a pair or weight file that
+    is missing or malformed) are recorded as unsuccessful rows whose
+    ``error`` is the exception's class name; the suite always runs to
+    completion. Pairs are evaluated in parallel up to
     :func:`worker_count` threads, with aggregation independent of schedule.
     An explicit ``weighter`` overrides ``cfg.weighter`` for every pair, same
     as in :func:`register`.

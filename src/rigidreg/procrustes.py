@@ -11,11 +11,17 @@ where x̄, ȳ are the weighted centroids, U Σ Vᵀ is the SVD of the weighted
 centered cross-covariance Σ_xy = Σ_i w̃_i (y_i - ȳ)(x_i - x̄)ᵀ, and
 S = diag(1, 1, det(U)det(V)) flips the smallest singular direction when the
 unconstrained optimum would be a reflection.
+
+:func:`solve_stacked` evaluates this on a stack of problems at once and is
+the one closed-form kernel of the package: :func:`solve` (the checked
+single-problem form used by the main branch, refinement and the final
+RANSAC refit) and RANSAC's blocks of minimal samples both fit through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -37,6 +43,8 @@ _RANK_TOL = 1e-12
 # gradient through the SVD divides by differences of squared singular
 # values; refuse instances where any two are this close
 _GAP_TOL = 1e-6
+# diagonal of S when U Vᵀ would be a reflection
+_REFLECT = np.array([1.0, 1.0, -1.0])
 
 
 @dataclass(frozen=True)
@@ -101,6 +109,68 @@ def normalize_weights(weights: WeightVector, tau: float) -> NormalizedWeights:
     return NormalizedWeights(phi / total, tau, total)
 
 
+class StackedSolution(NamedTuple):
+    """Closed-form fits of a stack of problems, one entry per problem.
+
+    Shapes follow the stack's leading dimensions ``...``: ``rotation``,
+    ``cross_covariance``, ``svd_u`` and ``svd_vt`` are ``(..., 3, 3)``;
+    ``translation``, ``svd_s`` and the centroids are ``(..., 3)``;
+    ``rank_deficient`` is ``(...)`` and flags the problems whose rotation is
+    underdetermined (their ``rotation`` is meaningless).
+    """
+
+    rotation: NDArray[F64]
+    translation: NDArray[F64]
+    cross_covariance: NDArray[F64]
+    svd_u: NDArray[F64]
+    svd_s: NDArray[F64]
+    svd_vt: NDArray[F64]
+    centroid_source: NDArray[F64]
+    centroid_target: NDArray[F64]
+    rank_deficient: NDArray[np.bool_]
+
+
+def solve_stacked(
+    source_points: np.ndarray,
+    target_points: np.ndarray,
+    w_tilde: np.ndarray,
+) -> StackedSolution:
+    """Weighted closed-form fit of every problem in a stack: points
+    ``(..., K, 3)``, normalized weights ``(..., K)``. Inputs are not
+    checked; :func:`solve` is the checked single-problem entry point.
+
+    Each problem's result is bit for bit the one the same problem gets
+    alone, since every product is a matmul over the trailing dimensions.
+    """
+    X = np.asarray(source_points, dtype=np.float64)
+    Y = np.asarray(target_points, dtype=np.float64)
+    w = np.asarray(w_tilde, dtype=np.float64)
+
+    centroid_x = (w[..., None, :] @ X)[..., 0, :]
+    centroid_y = (w[..., None, :] @ Y)[..., 0, :]
+    Xc = X - centroid_x[..., None, :]
+    Yc = Y - centroid_y[..., None, :]
+    cross = np.swapaxes(Yc * w[..., :, None], -1, -2) @ Xc
+
+    U, sigma, Vt = np.linalg.svd(cross)
+    rank_deficient = sigma[..., 1] <= _RANK_TOL * np.maximum(1.0, sigma[..., 0])
+    proper = np.linalg.det(U) * np.linalg.det(Vt) > 0
+    signs = np.where(proper[..., None], 1.0, _REFLECT)
+    R = (U * signs[..., None, :]) @ Vt
+    t = centroid_y - (R @ centroid_x[..., :, None])[..., 0]
+    return StackedSolution(
+        rotation=R,
+        translation=t,
+        cross_covariance=cross,
+        svd_u=U,
+        svd_s=sigma,
+        svd_vt=Vt,
+        centroid_source=centroid_x,
+        centroid_target=centroid_y,
+        rank_deficient=rank_deficient,
+    )
+
+
 def solve(
     source_points: np.ndarray,
     target_points: np.ndarray,
@@ -125,32 +195,23 @@ def solve(
             "weighted alignment needs at least 3 positive-weight pairs"
         )
 
-    centroid_x = w @ X
-    centroid_y = w @ Y
-    Xc = X - centroid_x
-    Yc = Y - centroid_y
-    cross = (Yc * w[:, None]).T @ Xc
-
-    U, sigma, Vt = np.linalg.svd(cross)
-    if sigma[1] <= _RANK_TOL * max(1.0, sigma[0]):
+    fit = solve_stacked(X, Y, w)
+    if fit.rank_deficient:
         raise DegenerateConfiguration(
             "weighted points are (near-)collinear; rotation underdetermined"
         )
-    flip = 1.0 if np.linalg.det(U) * np.linalg.det(Vt) > 0 else -1.0
-    R = (U * np.array([1.0, 1.0, flip])) @ Vt
-    t = centroid_y - R @ centroid_x
-
+    R, t = fit.rotation, fit.translation
     diff = Y - (X @ R.T + t)
     residual = float(np.sum(w * np.einsum("ij,ij->i", diff, diff)))
     return ProcrustesSolution(
         transform=RigidTransform(R, t),
         residual=residual,
-        cross_covariance=cross,
-        svd_u=U,
-        svd_s=sigma,
-        svd_vt=Vt,
-        centroid_source=centroid_x,
-        centroid_target=centroid_y,
+        cross_covariance=fit.cross_covariance,
+        svd_u=fit.svd_u,
+        svd_s=fit.svd_s,
+        svd_vt=fit.svd_vt,
+        centroid_source=fit.centroid_source,
+        centroid_target=fit.centroid_target,
     )
 
 

@@ -332,3 +332,56 @@ def test_run_benchmark_file_pairs_and_failure_rows(tmp_path, patch_cloud):
     assert not bad.success and bad.error == "EmptyCloud"
     assert bad.re is None and bad.te is None and bad.branch is None
     assert rep.mean_re == good.re  # means are over successes only
+
+
+@pytest.mark.parametrize("problem, error", [
+    ("missing", "FileNotFoundError"),
+    ("malformed", "FileFormatError"),
+])
+def test_run_benchmark_bad_pair_file_is_a_failed_row(tmp_path, problem, error):
+    cloud = tmp_path / "cloud.ply"
+    if problem == "malformed":
+        cloud.write_text("not a ply file\n")
+    pose = tmp_path / "pose.json"
+    pose.write_text(json.dumps({
+        "rotation": [1, 0, 0, 0, 1, 0, 0, 0, 1],
+        "translation": [0, 0, 0],
+    }))
+    suite = [_CLEAN_SUITE[0], FilePairSpec(str(cloud), str(cloud), str(pose))]
+    rep = run_benchmark(suite, PipelineConfig(), math.radians(15.0), 0.30)
+    assert len(rep.records) == 2
+    good, bad = rep.records
+    assert good.success and good.error is None
+    assert not bad.success and bad.error == error and bad.branch is None
+    assert rep.recall == 0.5
+
+
+def test_run_benchmark_missing_weight_file_fails_every_row():
+    cfg = PipelineConfig(weighter="file:/nonexistent/w.dgrw")
+    rep = run_benchmark(_CLEAN_SUITE[:2], cfg, math.radians(15.0), 0.30)
+    assert [r.error for r in rep.records] == ["FileNotFoundError"] * 2
+    assert rep.recall == 0.0
+    assert dict(rep.branch_counts) == {"failed": 2}
+
+
+_SAFEGUARD_SUITE = [
+    SyntheticPairSpec(n_points=300, overlap_ratio=0.8, noise_sigma=0.005,
+                      outlier_ratio=0.3, seed=s)
+    for s in range(4)
+]
+
+
+def test_run_benchmark_thread_count_does_not_change_safeguard_results(monkeypatch):
+    def zeros(matches, source, target):
+        return np.zeros(len(matches))
+
+    cfg = PipelineConfig(voxel_size=0.05)
+    monkeypatch.setenv("DGR_THREADS", "1")
+    serial = run_benchmark(_SAFEGUARD_SUITE, cfg, math.radians(15.0), 0.30, weighter=zeros)
+    monkeypatch.setenv("DGR_THREADS", "2")
+    parallel = run_benchmark(_SAFEGUARD_SUITE, cfg, math.radians(15.0), 0.30, weighter=zeros)
+    assert dict(serial.branch_counts) == {"safeguard": 4}
+    assert serial.records == parallel.records
+    assert serial.recall == parallel.recall
+    assert serial.re_curve == parallel.re_curve
+    assert serial.te_curve == parallel.te_curve

@@ -17,6 +17,7 @@ from rigidreg import (
     normalize_weights,
     solve,
 )
+from rigidreg.procrustes import solve_stacked
 
 from _oracles import central_difference, kabsch, quaternion_angle, random_rotation
 
@@ -222,6 +223,48 @@ def test_solve_degenerate_configurations():
     coincident = np.tile([1.0, 2.0, 3.0], (4, 1))
     with pytest.raises(DegenerateConfiguration):
         solve(coincident, coincident, _uniform(4))
+
+
+# ---------------------------------------------------------------------------
+# the stacked kernel behind solve
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("shape", [(1, 3), (17, 3), (9, 40), (64, 3)])
+def test_stacked_kernel_slices_equal_single_solves(shape, rng):
+    B, K = shape
+    X = rng.normal(size=(B, K, 3)) * rng.uniform(0.01, 10.0, size=(B, 1, 1))
+    Y = X @ random_rotation(rng).T + rng.normal(size=(B, K, 3))
+    raw = rng.uniform(0.1, 1.0, size=(B, K))
+    w = raw / raw.sum(axis=1, keepdims=True)
+    fit = solve_stacked(X, Y, w)
+    assert not fit.rank_deficient.any()
+    for k in range(B):
+        sol = solve(X[k], Y[k], NormalizedWeights(w[k], 0.0, 1.0))
+        np.testing.assert_array_equal(fit.rotation[k], sol.transform.rotation)
+        np.testing.assert_array_equal(fit.translation[k], sol.transform.translation)
+        np.testing.assert_array_equal(fit.cross_covariance[k], sol.cross_covariance)
+        np.testing.assert_array_equal(fit.svd_u[k], sol.svd_u)
+        np.testing.assert_array_equal(fit.svd_s[k], sol.svd_s)
+        np.testing.assert_array_equal(fit.svd_vt[k], sol.svd_vt)
+        np.testing.assert_array_equal(fit.centroid_source[k], sol.centroid_source)
+        np.testing.assert_array_equal(fit.centroid_target[k], sol.centroid_target)
+
+
+def test_stacked_kernel_flags_what_solve_rejects(rng):
+    X = rng.normal(size=(3, 5, 3))
+    X[1] = np.linspace(0.0, 1.0, 5)[:, None] * np.array([1.0, 2.0, 3.0])
+    w = np.full((3, 5), 0.2)
+    fit = solve_stacked(X, X, w)
+    assert fit.rank_deficient.tolist() == [False, True, False]
+    with pytest.raises(DegenerateConfiguration):
+        solve(X[1], X[1], _uniform(5))
+
+
+def test_ransac_takes_its_rank_test_from_the_kernel():
+    import rigidreg.ransac as ransac_module
+
+    assert ransac_module.solve_stacked is solve_stacked
+    assert not [name for name in vars(ransac_module) if "RANK" in name]
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,10 @@ import pytest
 
 from rigidreg import (
     CorrespondenceSet,
+    DegenerateConfiguration,
     EmptyCorrespondences,
     NoConsensus,
+    NormalizedWeights,
     PointCloud,
     RansacConfig,
     SAFEGUARD_BRANCH,
@@ -16,6 +18,7 @@ from rigidreg import (
     WeightVector,
     inlier_fraction,
     ransac_register,
+    solve,
 )
 
 from _oracles import quaternion_angle, random_rotation
@@ -177,3 +180,111 @@ def test_too_few_pairs():
     pts = PointCloud(np.eye(3)[:2])
     with pytest.raises(TooFewCorrespondences):
         ransac_register(_identity_matches(2), pts, pts, RansacConfig())
+
+
+# ---------------------------------------------------------------------------
+# the block walk against the one-hypothesis-at-a-time loop
+# ---------------------------------------------------------------------------
+
+def _sequential_ransac(matches, source, target, cfg):
+    """The safeguard as one hypothesis at a time: a frozen copy of the loop
+    the block walk replaced, fitting through the package's ``solve``.
+    Returns ((rotation, translation, inlier_fraction) or NoConsensus,
+    hypotheses, draws)."""
+    n = len(matches)
+    Xm = source.points[matches.pairs[:, 0]]
+    Ym = target.points[matches.pairs[:, 1]]
+
+    def fit(Xs, Ys):
+        k = Xs.shape[0]
+        return solve(Xs, Ys, NormalizedWeights(np.full(k, 1.0 / k), 0.0, float(k))).transform
+
+    rng = np.random.default_rng(cfg.seed)
+    best_count, best_rms, best_transform, best_inliers = -1, np.inf, None, None
+    draws, draw_cap, hypothesis, required = 0, 10 * cfg.max_iterations, 0, cfg.max_iterations
+    while hypothesis < min(cfg.max_iterations, required) and draws < draw_cap:
+        sample = rng.choice(n, size=3, replace=False)
+        draws += 1
+        a, b, c = Xm[sample]
+        if np.linalg.norm(np.cross(b - a, c - a)) <= 1e-9:
+            continue
+        try:
+            model = fit(Xm[sample], Ym[sample])
+        except DegenerateConfiguration:
+            continue
+        hypothesis += 1
+        residual = np.linalg.norm(Ym - model.apply(Xm), axis=1)
+        inliers = residual < cfg.inlier_threshold
+        count = int(inliers.sum())
+        rms = float(np.sqrt(np.mean(residual[inliers] ** 2))) if count >= 3 else np.inf
+        if count > best_count or (count == best_count and rms < best_rms):
+            best_count, best_rms, best_transform, best_inliers = count, rms, model, inliers
+        if best_count >= 3:
+            w_in = best_count / n
+            if w_in >= 1.0:
+                required = 1
+            else:
+                required = int(np.ceil(np.log(1.0 - cfg.confidence) / np.log(1.0 - w_in**3)))
+    if best_count < 3 or best_transform is None:
+        return NoConsensus, hypothesis, draws
+    try:
+        refit = fit(Xm[best_inliers], Ym[best_inliers])
+    except DegenerateConfiguration:
+        refit = best_transform
+    return (refit.rotation, refit.translation, best_count / n), hypothesis, draws
+
+
+def _walk_case(seed, n=200, outlier_ratio=0.5, noise=0.004, on_line=0):
+    """Noisy inliers (so equal counts meet distinct RMS values), displaced
+    outliers, and optionally the first ``on_line`` source points on a line."""
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-1.0, 1.0, size=(n, 3))
+    X[:on_line] = np.linspace(-1.0, 1.0, on_line)[:, None] * np.array([0.3, 0.9, -0.5])
+    Y = X @ random_rotation(rng).T + rng.normal(size=3) + rng.normal(size=(n, 3)) * noise
+    bad = rng.choice(n, size=int(round(n * outlier_ratio)), replace=False)
+    Y[bad] += rng.normal(size=(len(bad), 3)) * 0.5
+    return _identity_matches(n), PointCloud(X), PointCloud(Y)
+
+
+# name: (pair, RansacConfig fields, what the sequential loop must show as
+# (hypotheses, draws)); blocks start at 64 samples
+_WALK_CASES = {
+    "outliers-0-exit-at-once": (dict(outlier_ratio=0.0, noise=0.0), dict(max_iterations=10_000),
+                                lambda h, d: h == 1),
+    "outliers-0.5-exit-early": (dict(outlier_ratio=0.5), dict(max_iterations=10_000),
+                                lambda h, d: 1 < h < 64),
+    "outliers-0.8-exit-late": (dict(outlier_ratio=0.8), dict(max_iterations=10_000),
+                               lambda h, d: 64 < h < 10_000),
+    "outliers-0.8-exit-late-2cm": (dict(outlier_ratio=0.8), dict(max_iterations=10_000,
+                                                                 inlier_threshold=0.02),
+                                   lambda h, d: 64 < h < 10_000),
+    "outliers-0.97-no-exit": (dict(n=60, outlier_ratio=0.97), dict(max_iterations=10_000),
+                              lambda h, d: h == 10_000),
+    "budget-1": (dict(outlier_ratio=0.2, seed=2), dict(max_iterations=1), lambda h, d: h == 1),
+    "budget-7": (dict(outlier_ratio=0.2), dict(max_iterations=7), lambda h, d: h == 7),
+    "budget-300": (dict(outlier_ratio=0.8), dict(max_iterations=300), lambda h, d: h == 300),
+    "collinear-draw-cap": (dict(n=40, on_line=39, outlier_ratio=0.5),
+                           dict(max_iterations=60), lambda h, d: d == 600 and h < 60),
+    "collinear-no-consensus": (dict(n=40, on_line=39, outlier_ratio=1.0),
+                               dict(max_iterations=100), lambda h, d: d == 1000),
+    "three-pairs": (dict(n=3, outlier_ratio=0.0), dict(max_iterations=10_000),
+                    lambda h, d: h == 1),
+}
+
+
+@pytest.mark.parametrize("name", list(_WALK_CASES))
+def test_block_walk_matches_sequential_loop(name):
+    pair_kw, cfg_kw, covers = _WALK_CASES[name]
+    matches, src, tgt = _walk_case(**{"seed": 0, **pair_kw})
+    cfg = RansacConfig(**{"inlier_threshold": 0.05, "seed": 3, **cfg_kw})
+    expected, hypotheses, draws = _sequential_ransac(matches, src, tgt, cfg)
+    assert covers(hypotheses, draws), (hypotheses, draws)
+    if expected is NoConsensus:
+        with pytest.raises(NoConsensus):
+            ransac_register(matches, src, tgt, cfg)
+        return
+    rotation, translation, fraction = expected
+    res = ransac_register(matches, src, tgt, cfg)
+    np.testing.assert_array_equal(res.transform.rotation, rotation)
+    np.testing.assert_array_equal(res.transform.translation, translation)
+    assert res.inlier_fraction == fraction
