@@ -8,6 +8,7 @@ as the built-in heuristics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
@@ -103,10 +104,14 @@ class FeatureConfig:
 
     ``raw_xyz`` normalizes each point to a direction vector (3 dims).
     ``local_histogram`` is invariant to translation and rotation: a
-    ``bins``-bin histogram of neighbor distances within ``radius`` plus the
-    three normalized eigenvalues of the neighborhood covariance
-    (``bins + 3`` dims). ``precomputed`` renormalizes features already
-    attached to the cloud.
+    ``bins``-bin histogram of neighbor distances plus the three normalized
+    eigenvalues of the neighborhood covariance (``bins + 3`` dims). The
+    neighbors of a point are the points within ``radius`` of it, inclusive.
+    A neighbor at distance d goes to bin ``floor(d / radius * bins)``,
+    clamped to ``bins - 1``, so a distance equal to ``radius`` goes to the
+    last bin; the point itself counts once in bin 0. ``radius`` must be
+    finite and positive, ``bins`` an integer of at least 2. ``precomputed``
+    renormalizes features already attached to the cloud.
     """
 
     descriptor: str = "local_histogram"
@@ -117,8 +122,10 @@ class FeatureConfig:
         if self.descriptor not in _DESCRIPTORS:
             raise ValueError(f"unknown descriptor {self.descriptor!r}")
         if self.descriptor == "local_histogram":
-            if not self.radius > 0:
-                raise ValueError("radius must be positive")
+            if not (self.radius > 0 and math.isfinite(self.radius)):
+                raise ValueError("radius must be finite and positive")
+            if not isinstance(self.bins, (int, np.integer)):
+                raise ValueError(f"bins must be an integer, got {self.bins!r}")
             if self.bins < 2:
                 raise ValueError("bins must be at least 2")
 
@@ -147,34 +154,52 @@ def _local_histogram(points: np.ndarray, radius: float, bins: int) -> np.ndarray
     n = points.shape[0]
     tree = cKDTree(points)
     pair_idx = tree.query_pairs(radius, output_type="ndarray")
+    a = pair_idx[:, 0]
+    b = pair_idx[:, 1]
+    e = a.shape[0]
+
+    # Every neighborhood sum is one bincount over a stream of (owner,
+    # partner) entries: each point with itself, then each pair both ways.
+    # A weighted bincount adds a bin's entries in stream order, starting
+    # from 0.0. Feeding each bin its own point first, then its partners in
+    # pair order (through a, then through b), keeps every sum bit-identical
+    # to starting from the point's value and adding the pairs one by one;
+    # reorder the stream and the descriptor changes in its last bits.
+    self_idx = np.arange(n)
+    owner = np.concatenate([self_idx, a, b])
+    partner = np.concatenate([self_idx, b, a])
+    coords = np.take(np.ascontiguousarray(points.T), partner, axis=1)  # 3 planes
 
     # distance histogram; the query point itself occupies bin 0, so the
     # histogram never comes back empty and the normalization below is
-    # well defined
-    hist = np.zeros((n, bins), dtype=np.float64)
-    hist[:, 0] = 1.0
-    count = np.ones(n, dtype=np.float64)
+    # well defined. Pair-sized temporaries are reused or freed once spent,
+    # which keeps peak memory low on dense clouds.
+    sq = coords[:, n + e:] - coords[:, n:n + e]  # points[a] - points[b]
+    np.multiply(sq, sq, out=sq)
+    d = np.sqrt(sq[0] + sq[1] + sq[2])
+    del sq
+    slot = np.minimum((d / radius * bins).astype(np.int64), bins - 1)
+    key = np.multiply(owner, bins, out=partner)
+    key[n:n + e] += slot
+    key[n + e:] += slot
+    hist = np.bincount(key, minlength=n * bins).reshape(n, bins)
+    del key, partner
+    count = np.bincount(owner, minlength=n)
+
     # neighborhood first and second moments for the covariance eigenvalues
-    first = points.copy()
-    second = np.einsum("ni,nj->nij", points, points)
+    first = np.stack(
+        [np.bincount(owner, weights=c, minlength=n) for c in coords], axis=1
+    )
+    second = np.empty((n, 3, 3), dtype=np.float64)
+    product = np.empty_like(coords[0])
+    for i in range(3):
+        for j in range(i, 3):
+            np.multiply(coords[i], coords[j], out=product)
+            second[:, i, j] = second[:, j, i] = np.bincount(
+                owner, weights=product, minlength=n
+            )
 
-    if pair_idx.shape[0] > 0:
-        a = pair_idx[:, 0]
-        b = pair_idx[:, 1]
-        d = np.linalg.norm(points[a] - points[b], axis=1)
-        slot = np.minimum((d / radius * bins).astype(np.int64), bins - 1)
-        np.add.at(hist, (a, slot), 1.0)
-        np.add.at(hist, (b, slot), 1.0)
-        np.add.at(count, a, 1.0)
-        np.add.at(count, b, 1.0)
-        np.add.at(first, a, points[b])
-        np.add.at(first, b, points[a])
-        outer = np.einsum("ni,nj->nij", points[b], points[b])
-        np.add.at(second, a, outer)
-        outer = np.einsum("ni,nj->nij", points[a], points[a])
-        np.add.at(second, b, outer)
-
-    hist /= count[:, None]
+    hist = hist / count[:, None]
     mean = first / count[:, None]
     cov = second / count[:, None, None] - np.einsum("ni,nj->nij", mean, mean)
     eig = np.linalg.eigvalsh(cov)[:, ::-1]

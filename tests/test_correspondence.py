@@ -1,9 +1,11 @@
 """Descriptors, matching, inlier labels, and weight providers."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from rigidreg import (
     CorrespondenceSet,
@@ -18,14 +20,17 @@ from rigidreg import (
     OracleWeighter,
     PointCloud,
     RigidTransform,
+    SyntheticPairSpec,
     UniformWeighter,
     WeightLengthMismatch,
     WeightVector,
     bce_score,
     compute_features,
     feature_dimension,
+    generate_pair,
     label_inliers,
     match_nearest,
+    voxel_downsample,
     weigh,
     write_weight_file,
 )
@@ -82,6 +87,15 @@ def test_feature_config_validation():
         FeatureConfig("local_histogram", radius=0.0)
     with pytest.raises(ValueError):
         FeatureConfig("local_histogram", bins=1)
+    # an infinite radius would make every pair of points neighbors
+    for radius in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            FeatureConfig("local_histogram", radius=radius)
+    # a fractional bin count used to fail later, inside compute_features
+    for bins in (2.5, 8.0):
+        with pytest.raises(ValueError):
+            FeatureConfig("local_histogram", bins=bins)
+    assert FeatureConfig("local_histogram", bins=np.int64(4)).bins == 4
 
 
 def test_raw_xyz_normalizes_directions():
@@ -115,6 +129,29 @@ def test_two_point_descriptor_hand_value():
     np.testing.assert_allclose(out.features[1], expected, atol=1e-12)
 
 
+def test_neighbor_at_exactly_radius_lands_in_last_bin():
+    # query_pairs is inclusive, so a neighbor at distance == radius counts;
+    # slot = floor(0.25 / 0.25 * 8) = 8 is clamped to bins - 1 = 7, giving
+    # histogram (1, 0, ..., 0, 1)/2 and the same eigen fractions as above
+    pts = np.array([[0.0, 0.0, 0.0], [0.25, 0.0, 0.0]])
+    out = compute_features(PointCloud(pts), FeatureConfig("local_histogram", radius=0.25, bins=8))
+    s = 1.0 / math.sqrt(1.5)
+    expected = np.array([0.5 * s, 0, 0, 0, 0, 0, 0, 0.5 * s, s, 0, 0])
+    np.testing.assert_allclose(out.features[0], expected, atol=1e-12)
+    np.testing.assert_allclose(out.features[1], expected, atol=1e-12)
+
+
+def test_duplicate_point_lands_in_bin_zero():
+    # a duplicate is a neighbor at d = 0: slot 0, histogram (2, 0, ...)/2,
+    # and the covariance of two equal points is exactly zero, so the
+    # descriptor is exactly e_0
+    pts = np.array([[0.1, 0.2, 0.3], [0.1, 0.2, 0.3]])
+    out = compute_features(PointCloud(pts), FeatureConfig("local_histogram", radius=0.25, bins=8))
+    expected = np.zeros(11)
+    expected[0] = 1.0
+    np.testing.assert_array_equal(out.features, [expected, expected])
+
+
 def test_descriptor_rigid_invariance(patch_cloud, rng):
     cfg = FeatureConfig("local_histogram", radius=0.25, bins=8)
     base = compute_features(patch_cloud, cfg)
@@ -146,6 +183,79 @@ def test_precomputed_descriptor_renormalizes():
     np.testing.assert_array_equal(out.features[1], [0.0, 0.0])
     with pytest.raises(MissingFeatures):
         compute_features(PointCloud(np.zeros((2, 3))), FeatureConfig("precomputed"))
+
+
+def _add_at_local_histogram(points, radius, bins):
+    """The local histogram as scattered pair by pair with ``np.add.at``: a
+    frozen copy of the descriptor the bincount sums replaced, kept only as
+    a reference that the package's descriptor must equal bit for bit."""
+    n = points.shape[0]
+    pair_idx = cKDTree(points).query_pairs(radius, output_type="ndarray")
+    hist = np.zeros((n, bins), dtype=np.float64)
+    hist[:, 0] = 1.0
+    count = np.ones(n, dtype=np.float64)
+    first = points.copy()
+    second = np.einsum("ni,nj->nij", points, points)
+    if pair_idx.shape[0] > 0:
+        a = pair_idx[:, 0]
+        b = pair_idx[:, 1]
+        d = np.linalg.norm(points[a] - points[b], axis=1)
+        slot = np.minimum((d / radius * bins).astype(np.int64), bins - 1)
+        np.add.at(hist, (a, slot), 1.0)
+        np.add.at(hist, (b, slot), 1.0)
+        np.add.at(count, a, 1.0)
+        np.add.at(count, b, 1.0)
+        np.add.at(first, a, points[b])
+        np.add.at(first, b, points[a])
+        np.add.at(second, a, np.einsum("ni,nj->nij", points[b], points[b]))
+        np.add.at(second, b, np.einsum("ni,nj->nij", points[a], points[a]))
+    hist /= count[:, None]
+    mean = first / count[:, None]
+    cov = second / count[:, None, None] - np.einsum("ni,nj->nij", mean, mean)
+    eig = np.clip(np.linalg.eigvalsh(cov)[:, ::-1], 0.0, None)
+    total = eig.sum(axis=1, keepdims=True)
+    eig = np.where(total > 0.0, eig / np.where(total > 0.0, total, 1.0), 0.0)
+    feats = np.concatenate([hist, eig], axis=1)
+    norms = np.linalg.norm(feats, axis=1, keepdims=True)
+    return np.where(norms > 0.0, feats / np.where(norms > 0.0, norms, 1.0), 0.0)
+
+
+# the dense main-branch pairs (registered at 2 cm voxels) and the
+# default-pipeline outlier pairs (5 cm voxels) of the benchmark
+_DENSE_RECIPE = dict(n_points=6000, overlap_ratio=1.0, noise_sigma=0.002, outlier_ratio=0.0)
+_OUTLIER_RECIPE = dict(n_points=1000, overlap_ratio=0.8, noise_sigma=0.005, outlier_ratio=0.3)
+
+
+def _recipe_clouds(recipe, voxel_size, seed):
+    pair = generate_pair(SyntheticPairSpec(**recipe, seed=seed))
+    return [voxel_downsample(c, voxel_size, 0) for c in (pair.source, pair.target)]
+
+
+def _fixed_clouds(*points):
+    return [PointCloud(np.asarray(p, dtype=np.float64)) for p in points]
+
+
+@pytest.mark.parametrize(
+    "make_clouds, radius, bins",
+    [
+        pytest.param(partial(_recipe_clouds, _DENSE_RECIPE, 0.02, 11), 0.25, 8, id="dense"),
+        *[
+            pytest.param(partial(_recipe_clouds, _OUTLIER_RECIPE, 0.05, seed), radius, bins,
+                         id=f"outliers-{seed}-r{radius}-b{bins}")
+            for seed in (3, 4)
+            for radius, bins in [(0.25, 8), (0.1, 3), (0.5, 16), (1e-6, 2)]
+        ],
+        pytest.param(partial(_fixed_clouds, [[0.3, -0.2, 0.7]]), 0.25, 8, id="single-point"),
+        pytest.param(partial(_fixed_clouds, [[0.1, -0.4, 2.0]] * 4), 0.25, 8, id="duplicates"),
+        pytest.param(partial(_fixed_clouds, [[0.25 * k, 0.0, 0.0] for k in range(6)]),
+                     0.25, 8, id="chain-at-radius"),
+    ],
+)
+def test_descriptor_matches_add_at_reference(make_clouds, radius, bins):
+    cfg = FeatureConfig("local_histogram", radius=radius, bins=bins)
+    for cloud in make_clouds():
+        expected = _add_at_local_histogram(cloud.points, radius, bins)
+        assert np.array_equal(compute_features(cloud, cfg).features, expected)
 
 
 # ---------------------------------------------------------------------------

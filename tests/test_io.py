@@ -366,6 +366,7 @@ def test_config_ransac_threshold_defaults_to_voxel_size(tmp_path):
         ("weighter = file:\n", "unknown weighter"),
         ("weighter = oracle:big\n", "bad oracle tau"),
         ("weighter = oracle:-1\n", "bad oracle tau"),
+        ("feature.radius = inf\n", "radius must be finite"),
     ],
 )
 def test_config_errors_are_located(tmp_path, content, fragment):
