@@ -13,9 +13,11 @@ S = diag(1, 1, det(U)det(V)) flips the smallest singular direction when the
 unconstrained optimum would be a reflection.
 
 :func:`solve_stacked` evaluates this on a stack of problems at once and is
-the one closed-form kernel of the package: :func:`solve` (the checked
-single-problem form used by the main branch, refinement and the final
-RANSAC refit) and RANSAC's blocks of minimal samples both fit through it.
+the one closed-form kernel of the package. :func:`checked_fit` is its
+checked single-problem form, which refinement fits through; :func:`solve`
+(the main branch and the final RANSAC refit) adds the transform and the
+residual on top of it; RANSAC's blocks of minimal samples call the kernel
+directly.
 """
 
 from __future__ import annotations
@@ -137,7 +139,7 @@ def solve_stacked(
 ) -> StackedSolution:
     """Weighted closed-form fit of every problem in a stack: points
     ``(..., K, 3)``, normalized weights ``(..., K)``. Inputs are not
-    checked; :func:`solve` is the checked single-problem entry point.
+    checked; :func:`checked_fit` is the checked single-problem form.
 
     Each problem's result is bit for bit the one the same problem gets
     alone, since every product is a matmul over the trailing dimensions.
@@ -171,14 +173,20 @@ def solve_stacked(
     )
 
 
-def solve(
+def checked_fit(
     source_points: np.ndarray,
     target_points: np.ndarray,
     weights: NormalizedWeights,
-) -> ProcrustesSolution:
-    """Best rigid transform mapping matched source points onto targets under
-    the given normalized weights (global minimizer of the weighted squared
-    error)."""
+) -> StackedSolution:
+    """:func:`solve_stacked` on one problem, behind the checks every
+    single-problem fit makes: matched lists and weights of one length, at
+    least 3 positive weights, and a rotation that is determined.
+
+    Raises LengthMismatch, WeightLengthMismatch, TooFewCorrespondences or
+    DegenerateConfiguration. The rotation is not tested for orthonormality;
+    callers that keep it build a :class:`RigidTransform` or a 6D rotation,
+    which do.
+    """
     X = np.asarray(source_points, dtype=np.float64).reshape(-1, 3)
     Y = np.asarray(target_points, dtype=np.float64).reshape(-1, 3)
     if X.shape[0] != Y.shape[0]:
@@ -200,9 +208,23 @@ def solve(
         raise DegenerateConfiguration(
             "weighted points are (near-)collinear; rotation underdetermined"
         )
+    return fit
+
+
+def solve(
+    source_points: np.ndarray,
+    target_points: np.ndarray,
+    weights: NormalizedWeights,
+) -> ProcrustesSolution:
+    """Best rigid transform mapping matched source points onto targets under
+    the given normalized weights (global minimizer of the weighted squared
+    error)."""
+    X = np.asarray(source_points, dtype=np.float64).reshape(-1, 3)
+    Y = np.asarray(target_points, dtype=np.float64).reshape(-1, 3)
+    fit = checked_fit(X, Y, weights)
     R, t = fit.rotation, fit.translation
     diff = Y - (X @ R.T + t)
-    residual = float(np.sum(w * np.einsum("ij,ij->i", diff, diff)))
+    residual = float(np.sum(weights.w_tilde * np.einsum("ij,ij->i", diff, diff)))
     return ProcrustesSolution(
         transform=RigidTransform(R, t),
         residual=residual,

@@ -367,6 +367,7 @@ def test_config_ransac_threshold_defaults_to_voxel_size(tmp_path):
         ("weighter = oracle:big\n", "bad oracle tau"),
         ("weighter = oracle:-1\n", "bad oracle tau"),
         ("feature.radius = inf\n", "radius must be finite"),
+        ("refine.huber_delta = inf\n", "huber_delta must be finite"),
     ],
 )
 def test_config_errors_are_located(tmp_path, content, fragment):

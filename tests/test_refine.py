@@ -1,27 +1,35 @@
 """6D rotation parameterization and robust pose refinement."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import rigidreg.pipeline
 from rigidreg import (
     CorrespondenceSet,
     DegenerateConfiguration,
     DegenerateRepresentation,
     NoActiveCorrespondences,
+    NormalizedWeights,
     NotARotation,
+    PipelineConfig,
     PointCloud,
     RefineConfig,
     RigidTransform,
     Rot6D,
+    SyntheticPairSpec,
     TooFewCorrespondences,
     WeightVector,
     energy,
     energy_gradient,
+    generate_pair,
     matrix_to_rot6d,
     refine,
+    register,
     rot6d_to_matrix,
+    solve,
 )
 
 from _oracles import central_difference, huber, quaternion_angle, random_rotation, rodrigues, rot_z
@@ -363,3 +371,146 @@ def test_refine_config_validation():
         RefineConfig(max_iters=0)
     with pytest.raises(ValueError):
         RefineConfig(convergence_tol=0.0)
+    # an infinite delta used to fail later, as weights that sum to infinity
+    for delta in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            RefineConfig(huber_delta=delta)
+    # a fractional iteration count used to fail later, inside range()
+    for max_iters in (2.5, 8.0):
+        with pytest.raises(ValueError):
+            RefineConfig(max_iters=max_iters)
+    assert RefineConfig(max_iters=np.int64(4)).max_iters == 4
+
+
+# ---------------------------------------------------------------------------
+# the loop against a frozen copy of the loop it replaced
+# ---------------------------------------------------------------------------
+
+def _frozen_rot6d_to_matrix(a):
+    b1 = a.a1 / np.linalg.norm(a.a1)
+    u = a.a2 - (b1 @ a.a2) * b1
+    b2 = u / np.linalg.norm(u)
+    return np.column_stack([b1, b2, np.cross(b1, b2)])
+
+
+def _frozen_energy(a, t, matches, source, target, weights, cfg):
+    w = weights.values
+    active = w > cfg.prefilter_tau
+    if not active.any():
+        return 0.0
+    pairs = matches.pairs[active]
+    R = _frozen_rot6d_to_matrix(a)
+    d = source.points[pairs[:, 0]] @ R.T + np.asarray(t, dtype=np.float64) - (
+        target.points[pairs[:, 1]]
+    )
+    r = np.linalg.norm(d, axis=1)
+    delta = cfg.huber_delta
+    return float(np.sum(w[active] * np.where(r <= delta, 0.5 * r * r, delta * (r - 0.5 * delta))))
+
+
+def _frozen_refine(init, matches, source, target, weights, cfg):
+    """Huber IRLS as it was first written: the public energy scores each
+    step on arrays gathered again, and solve returns a RigidTransform.
+    Returns (rotation, translation, energies, iterations, termination)."""
+    active = weights.values > cfg.prefilter_tau
+    pairs = matches.pairs[active]
+    Xa, Ya, wa = source.points[pairs[:, 0]], target.points[pairs[:, 1]], weights.values[active]
+
+    def to_rot6d(R):
+        return Rot6D(R[:, 0].copy(), R[:, 1].copy())
+
+    rot = to_rot6d(init.rotation)
+    R = _frozen_rot6d_to_matrix(rot)
+    t = np.asarray(init.translation, dtype=np.float64)
+    current = _frozen_energy(rot, t, matches, source, target, weights, cfg)
+    energies = [current]
+    iterations = 0
+    termination = "max_iters"
+    for _ in range(cfg.max_iters):
+        iterations += 1
+        r = np.linalg.norm(Xa @ R.T + t - Ya, axis=1)
+        v = wa * (cfg.huber_delta / np.maximum(r, cfg.huber_delta))
+        total = float(v.sum())
+        step = solve(Xa, Ya, NormalizedWeights(v / total, 0.0, total)).transform
+        candidate_rot = to_rot6d(step.rotation)
+        candidate = _frozen_energy(candidate_rot, step.translation, matches, source, target, weights, cfg)
+        decrease = current - candidate
+        if not decrease > 0.0:
+            termination = "converged"
+            break
+        R, t = _frozen_rot6d_to_matrix(candidate_rot), step.translation
+        current = candidate
+        energies.append(current)
+        if decrease <= cfg.convergence_tol * max(abs(current), 1.0):
+            termination = "converged"
+            break
+    return R, t, tuple(energies), iterations, termination
+
+
+_OUTLIER_SEEDS = range(8)
+
+
+@pytest.fixture(scope="module")
+def outlier_refine_calls():
+    """The arguments ``register`` hands to ``refine`` on pairs of the
+    benchmark's outlier recipe (1k points, 30 % outliers, defaults)."""
+    calls = []
+
+    def capture(*args):
+        calls.append(args)
+        return refine(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rigidreg.pipeline, "refine", capture)
+        for seed in _OUTLIER_SEEDS:
+            pair = generate_pair(SyntheticPairSpec(
+                n_points=1000, overlap_ratio=0.8, noise_sigma=0.005, outlier_ratio=0.3, seed=seed,
+            ))
+            register(pair.source, pair.target, PipelineConfig())
+    assert len(calls) == len(_OUTLIER_SEEDS)
+    return calls
+
+
+# each case: (pair, config changes, how the run must end); "tol" is a stop
+# on convergence_tol after an accepted step, "rejected" a stop on a step
+# that did not lower the energy
+_FROZEN_CASES = {
+    **{f"outlier-{seed}": (seed, {}, None) for seed in _OUTLIER_SEEDS},
+    "max_iters_1": (0, {"max_iters": 1}, "max_iters"),
+    "rejected_step": (1, {"convergence_tol": 1e-300, "max_iters": 1000}, "rejected"),
+    "convergence_tol": (2, {}, "tol"),
+}
+
+
+@pytest.mark.parametrize("case", list(_FROZEN_CASES))
+def test_refine_matches_frozen_loop(outlier_refine_calls, case):
+    index, changes, ending = _FROZEN_CASES[case]
+    init, matches, source, target, weights, cfg = outlier_refine_calls[index]
+    cfg = replace(cfg, **changes)
+    final, trace = refine(init, matches, source, target, weights, cfg)
+    R, t, energies, iterations, termination = _frozen_refine(init, matches, source, target, weights, cfg)
+    assert np.array_equal(final.rotation, R)
+    assert np.array_equal(final.translation, t)
+    assert trace.energies == energies
+    assert trace.iterations == iterations
+    assert trace.termination == termination
+    if ending == "max_iters":
+        assert trace.termination == "max_iters" and len(trace.energies) == trace.iterations + 1
+    elif ending == "tol":
+        assert trace.termination == "converged" and len(trace.energies) == trace.iterations + 1
+    elif ending == "rejected":
+        assert trace.termination == "converged" and len(trace.energies) == trace.iterations
+
+
+@pytest.mark.parametrize("index", range(len(_OUTLIER_SEEDS)))
+def test_refine_trace_agrees_with_public_energy(outlier_refine_calls, index):
+    init, matches, source, target, weights, cfg = outlier_refine_calls[index]
+    final, trace = refine(init, matches, source, target, weights, cfg)
+    start = energy(matrix_to_rot6d(init.rotation), init.translation,
+                   matches, source, target, weights, cfg)
+    assert trace.energies[0] == start
+    # the returned rotation goes through Gram-Schmidt once more, which can
+    # move it by an ulp
+    end = energy(matrix_to_rot6d(final.rotation), final.translation,
+                 matches, source, target, weights, cfg)
+    assert abs(trace.energies[-1] - end) <= 1e-12 * abs(end)
