@@ -196,10 +196,6 @@ class SpatialIndex:
     def size(self) -> int:
         return self._data.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self._data.shape[1]
-
     def query(self, queries: np.ndarray) -> tuple[NDArray[np.int64], NDArray[F64]]:
         """Nearest stored index and distance for each query row."""
         q = np.atleast_2d(np.asarray(queries, dtype=np.float64))

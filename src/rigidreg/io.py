@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from dataclasses import replace
 from typing import BinaryIO
 
 import numpy as np
@@ -20,7 +21,6 @@ from .errors import FileFormatError, NotARotation, UnsupportedFormat
 from .evaluation import BenchmarkReport, FilePairSpec, SyntheticPairSpec
 from .geometry import PointCloud, RigidTransform
 from .pipeline import PipelineConfig, parse_weighter_spec
-from .ransac import RansacConfig
 from .refine import RefineConfig
 from .results import RegistrationResult
 
@@ -398,17 +398,16 @@ def parse_config_file(path) -> PipelineConfig:
             ) from None
 
     try:
-        feature = FeatureConfig(**sections["feature"])
-        refine = RefineConfig(**sections["refine"])
-        pipeline_kwargs = dict(sections["pipeline"])
-        ransac_kwargs = dict(sections["ransac"])
-        if ransac_kwargs:
-            if "inlier_threshold" not in ransac_kwargs:
-                ransac_kwargs["inlier_threshold"] = pipeline_kwargs.get(
-                    "voxel_size", PipelineConfig().voxel_size
-                )
-            pipeline_kwargs["ransac"] = RansacConfig(**ransac_kwargs)
-        return PipelineConfig(feature=feature, refine=refine, **pipeline_kwargs)
+        pipeline = PipelineConfig(
+            feature=FeatureConfig(**sections["feature"]),
+            refine=RefineConfig(**sections["refine"]),
+            **sections["pipeline"],
+        )
+        # keys not given keep the defaults PipelineConfig resolved, among
+        # them inlier_threshold = voxel_size
+        if sections["ransac"]:
+            pipeline = replace(pipeline, ransac=replace(pipeline.ransac, **sections["ransac"]))
+        return pipeline
     except ValueError as exc:
         raise FileFormatError(f"{path}: invalid configuration: {exc}") from None
 

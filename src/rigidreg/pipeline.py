@@ -4,11 +4,13 @@ safeguard when the weight mass is too thin to trust.
 
 The branch decision is the strict test
 
-    inlier_fraction(w, prefilter_tau) < safeguard_tau_s  ->  safeguard,
+    inlier_fraction(w, prefilter_tau) < safeguard_tau_s  ->  safeguard.
 
-and any solver degeneracy (all weights filtered, fewer than 3 surviving
-pairs, collinear weighted geometry) also diverts to the safeguard with the
-reason recorded on the result.
+On the main branch the prefiltered weights phi(w) = I[w > prefilter_tau]*w
+feed both the weighted solve and the refinement. Any solver degeneracy
+(all weights filtered, fewer than 3 surviving pairs, collinear weighted
+geometry) also diverts to the safeguard with the reason recorded on the
+result.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .errors import (
     TooFewCorrespondences,
 )
 from .geometry import PointCloud, voxel_downsample
-from .procrustes import normalize_weights, solve
+from .procrustes import normalize_weights, prefilter, solve
 from .ransac import RansacConfig, inlier_fraction, ransac_register
 from .refine import RefineConfig, refine
 from .results import MAIN_BRANCH, RegistrationResult
@@ -52,9 +54,10 @@ class PipelineConfig:
     ``weighter`` is a provider name: "uniform", "heuristic", "file:PATH",
     or "oracle[:TAU]" (the oracle needs a ground-truth transform and is
     only resolvable where one exists, e.g. the synthetic benchmark).
-    ``prefilter_tau`` is shared by weight normalization, the refinement
-    energy, and the safeguard statistic. ``seed`` drives the voxel
-    subsampling draw. A ``ransac`` of None resolves to defaults with
+    ``prefilter_tau`` is the one prefilter threshold: it governs weight
+    normalization, the safeguard statistic and, as refinement gets the
+    prefiltered weights, which pairs refinement sees. ``seed`` drives the
+    voxel subsampling draw. A ``ransac`` of None resolves to defaults with
     ``inlier_threshold = voxel_size``.
     """
 
@@ -104,7 +107,7 @@ def parse_weighter_spec(spec: str) -> tuple[str, str | float | None]:
     )
 
 
-def resolve_weighter(spec: str, ground_truth=None, oracle_tau: float = 0.1) -> WeightProvider:
+def resolve_weighter(spec: str, ground_truth=None) -> WeightProvider:
     """Instantiate the provider named by a config string."""
     from .correspondence import OracleWeighter
 
@@ -120,7 +123,9 @@ def resolve_weighter(spec: str, ground_truth=None, oracle_tau: float = 0.1) -> W
             "oracle weighter requires a ground-truth transform; it is only "
             "available where one is known (synthetic benchmarks)"
         )
-    return OracleWeighter(ground_truth, oracle_tau if argument is None else argument)
+    if argument is None:
+        return OracleWeighter(ground_truth)
+    return OracleWeighter(ground_truth, argument)
 
 
 def _core(
@@ -145,9 +150,9 @@ def _core(
             stage_seconds["solve"] = time.perf_counter() - begin
 
             begin = time.perf_counter()
-            refine_cfg = replace(cfg.refine, prefilter_tau=cfg.prefilter_tau)
             transform, trace = refine(
-                solution.transform, matches, source, target, weights, refine_cfg
+                solution.transform, matches, source, target,
+                prefilter(weights, cfg.prefilter_tau), cfg.refine,
             )
             stage_seconds["refine"] = time.perf_counter() - begin
             return RegistrationResult(

@@ -15,8 +15,8 @@ unconstrained optimum would be a reflection.
 :func:`solve_stacked` evaluates this on a stack of problems at once and is
 the one closed-form kernel of the package. :func:`checked_fit` is its
 checked single-problem form, which refinement fits through; :func:`solve`
-(the main branch and the final RANSAC refit) adds the transform and the
-residual on top of it; RANSAC's blocks of minimal samples call the kernel
+(the main branch and the final RANSAC refit) wraps its pose in a
+:class:`RigidTransform`; RANSAC's blocks of minimal samples call the kernel
 directly.
 """
 
@@ -53,13 +53,12 @@ _REFLECT = np.array([1.0, 1.0, -1.0])
 class NormalizedWeights:
     """Prefiltered, L1-normalized weights.
 
-    ``w_tilde`` is phi(w)/||phi(w)||_1 with phi(w) = I[w > tau]*w applied
-    elementwise to the raw weights; ``scale`` keeps ||phi(w)||_1 so the raw
-    surviving weights can be reconstructed as ``w_tilde * scale``.
+    ``w_tilde`` is phi(w)/||phi(w)||_1 with phi the :func:`prefilter`;
+    ``scale`` keeps ||phi(w)||_1 so the raw surviving weights can be
+    reconstructed as ``w_tilde * scale``.
     """
 
     w_tilde: NDArray[F64]
-    prefilter_tau: float
     scale: float
 
     def __post_init__(self) -> None:
@@ -70,8 +69,6 @@ class NormalizedWeights:
             raise ValueError("normalized weights must be non-negative")
         if abs(w.sum() - 1.0) > 1e-12:
             raise ValueError("normalized weights must sum to 1")
-        if not 0.0 <= self.prefilter_tau < 1.0:
-            raise ValueError("prefilter_tau must lie in [0, 1)")
         if not self.scale > 0.0:
             raise ValueError("scale must be positive")
         w.flags.writeable = False
@@ -87,7 +84,6 @@ class ProcrustesSolution:
     """
 
     transform: RigidTransform
-    residual: float
     cross_covariance: Mat3
     svd_u: Mat3
     svd_s: Vec3
@@ -96,19 +92,25 @@ class ProcrustesSolution:
     centroid_target: Vec3
 
 
+def prefilter(weights: WeightVector, tau: float) -> WeightVector:
+    """phi(w) = I[w > tau] * w elementwise: weights <= tau become 0 (strict
+    survival test), the rest are kept as they are."""
+    raw = weights.values
+    return WeightVector(np.where(raw > tau, raw, 0.0))
+
+
 def normalize_weights(weights: WeightVector, tau: float) -> NormalizedWeights:
-    """Zero out weights <= tau (strict survival test w > tau), then divide
-    by the L1 norm of the survivors."""
+    """Zero out weights <= tau with :func:`prefilter`, then divide by the L1
+    norm of the survivors."""
     if not 0.0 <= tau < 1.0:
         raise ValueError("tau must lie in [0, 1)")
-    raw = weights.values
-    phi = np.where(raw > tau, raw, 0.0)
+    phi = prefilter(weights, tau).values
     total = float(phi.sum())
     if total == 0.0:
         raise AllWeightsFiltered(
             f"no weight above tau = {tau}; safeguard registration required"
         )
-    return NormalizedWeights(phi / total, tau, total)
+    return NormalizedWeights(phi / total, total)
 
 
 class StackedSolution(NamedTuple):
@@ -219,15 +221,9 @@ def solve(
     """Best rigid transform mapping matched source points onto targets under
     the given normalized weights (global minimizer of the weighted squared
     error)."""
-    X = np.asarray(source_points, dtype=np.float64).reshape(-1, 3)
-    Y = np.asarray(target_points, dtype=np.float64).reshape(-1, 3)
-    fit = checked_fit(X, Y, weights)
-    R, t = fit.rotation, fit.translation
-    diff = Y - (X @ R.T + t)
-    residual = float(np.sum(weights.w_tilde * np.einsum("ij,ij->i", diff, diff)))
+    fit = checked_fit(source_points, target_points, weights)
     return ProcrustesSolution(
-        transform=RigidTransform(R, t),
-        residual=residual,
+        transform=RigidTransform(fit.rotation, fit.translation),
         cross_covariance=fit.cross_covariance,
         svd_u=fit.svd_u,
         svd_s=fit.svd_s,

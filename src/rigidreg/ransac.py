@@ -36,7 +36,7 @@ from .errors import (
     TooFewCorrespondences,
 )
 from .geometry import ORTHONORMALITY_TOL, PointCloud, RigidTransform
-from .procrustes import NormalizedWeights, solve, solve_stacked
+from .procrustes import NormalizedWeights, prefilter, solve, solve_stacked
 from .results import SAFEGUARD_BRANCH, RegistrationResult
 
 _COLLINEAR_TOL = 1e-9
@@ -71,8 +71,7 @@ def inlier_fraction(weights: WeightVector, tau: float) -> float:
     n = len(weights)
     if n == 0:
         raise EmptyCorrespondences("inlier fraction of an empty correspondence set")
-    w = weights.values
-    return float(np.where(w > tau, w, 0.0).sum() / n)
+    return float(prefilter(weights, tau).values.sum() / n)
 
 
 def _residuals(Xm: np.ndarray, Ym: np.ndarray, rotation: np.ndarray,
@@ -225,9 +224,7 @@ def ransac_register(
             f"best hypothesis explains {max(best_count, 0)} of {n} pairs"
         )
 
-    uniform = NormalizedWeights(
-        np.full(best_count, 1.0 / best_count), 0.0, float(best_count)
-    )
+    uniform = NormalizedWeights(np.full(best_count, 1.0 / best_count), float(best_count))
     try:
         refit = solve(Xm[best_inliers], Ym[best_inliers], uniform).transform
     except DegenerateConfiguration:

@@ -6,9 +6,12 @@ cross product maps them to an orthonormal matrix:
     b1 = N(a1),  b2 = N(a2 - (b1 . a2) b1),  b3 = b1 x b2,
 
 with N the L2 normalization. The inverse simply reads the first two matrix
-columns. :func:`energy` is a prefiltered Huber energy of the residuals and
+columns. :func:`energy` is the Huber energy of the residuals over the
+prefiltered weights phi(w) (:func:`procrustes.prefilter`) and
 :func:`energy_gradient` its exact gradient in (a1, a2, t), the
-differentiable interface for callers that train through the pose.
+differentiable interface for callers that train through the pose. Neither
+they nor :func:`refine` read a threshold: the caller prefilters, and a
+pair is active exactly when its weight is positive.
 
 Refinement minimizes that energy by iteratively reweighted least squares:
 every step is one weighted closed-form fit (:func:`procrustes.checked_fit`)
@@ -52,12 +55,11 @@ class Rot6D:
         a2 = np.asarray(self.a2, dtype=np.float64).reshape(3)
         if not (np.all(np.isfinite(a1)) and np.all(np.isfinite(a2))):
             raise DegenerateRepresentation("rotation parameters must be finite")
-        n1 = np.linalg.norm(a1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            _, _, n1, nu = _gram_schmidt(a1, a2)
         if n1 <= 0.0:
             raise DegenerateRepresentation("a1 must be nonzero")
-        b1 = a1 / n1
-        rejection = a2 - (b1 @ a2) * b1
-        if np.linalg.norm(rejection) <= _PARALLEL_TOL:
+        if nu <= _PARALLEL_TOL:
             raise DegenerateRepresentation("a2 is (near-)parallel to a1")
         a1.flags.writeable = False
         a2.flags.writeable = False
@@ -67,14 +69,11 @@ class Rot6D:
 
 @dataclass(frozen=True)
 class RefineConfig:
-    prefilter_tau: float = 0.4
     huber_delta: float = 0.05
     max_iters: int = 200
     convergence_tol: float = 1e-8
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.prefilter_tau < 1.0:
-            raise ValueError("prefilter_tau must lie in [0, 1)")
         if not (self.huber_delta > 0 and math.isfinite(self.huber_delta)):
             raise ValueError("huber_delta must be finite and positive")
         if not isinstance(self.max_iters, (int, np.integer)):
@@ -94,11 +93,19 @@ class RefineTrace:
     termination: str  # "converged" | "max_iters"
 
 
+def _gram_schmidt(a1: np.ndarray, a2: np.ndarray) -> tuple[Vec3, Vec3, float, float]:
+    """The first two rotation columns b1 = a1/||a1||, b2 = u/||u|| with
+    u = a2 - (b1 . a2) b1, and the two norms ||a1||, ||u||."""
+    n1 = np.linalg.norm(a1)
+    b1 = a1 / n1
+    u = a2 - (b1 @ a2) * b1
+    nu = np.linalg.norm(u)
+    return b1, u / nu, n1, nu
+
+
 def rot6d_to_matrix(a: Rot6D) -> Mat3:
     """Gram-Schmidt the two parameter vectors into rotation columns."""
-    b1 = a.a1 / np.linalg.norm(a.a1)
-    u = a.a2 - (b1 @ a.a2) * b1
-    b2 = u / np.linalg.norm(u)
+    b1, b2, _, _ = _gram_schmidt(a.a1, a.a2)
     # b3 = b1 x b2 as the products np.cross takes, in its order, so it
     # rounds the same; on 3-vectors np.cross costs far more than its arithmetic
     x1, y1, z1 = b1.tolist()
@@ -135,13 +142,11 @@ def _huber_energy(
     return float(np.sum(w * huber)), r
 
 
-def _active_arrays(matches, source, target, weights, tau):
+def _active_arrays(matches, source, target, weights):
     w = weights.values
-    active = w > tau
+    active = w > 0.0
     if not active.any():
-        raise NoActiveCorrespondences(
-            f"no correspondence weight above tau = {tau}"
-        )
+        raise NoActiveCorrespondences("no correspondence has a positive weight")
     pairs = matches.pairs[active]
     return (
         source.points[pairs[:, 0]],
@@ -160,9 +165,9 @@ def energy(
     cfg: RefineConfig,
 ) -> float:
     """Weighted Huber energy of the residuals y_j - (R x_i + t); pairs with
-    weight <= prefilter_tau contribute exactly 0."""
+    weight 0 contribute exactly 0."""
     w = weights.values
-    active = w > cfg.prefilter_tau
+    active = w > 0.0
     if not active.any():
         return 0.0
     pairs = matches.pairs[active]
@@ -183,21 +188,17 @@ def energy_gradient(
 ) -> tuple[Vec3, Vec3, Vec3]:
     """Analytic gradient of :func:`energy` in (a1, a2, t).
 
-    The per-pair residual gradient is phi(w) * min(1, delta/r) * d (the
-    Huber loss is C1, so the quadratic branch's value serves at the kink),
+    The per-pair residual gradient is w * min(1, delta/r) * d (the Huber
+    loss is C1, so the quadratic branch's value serves at the kink),
     accumulated into d/dt and d/dR, then chained through the Gram-Schmidt
-    construction back to the parameter vectors.
+    construction back to the parameter vectors. Raises
+    NoActiveCorrespondences when no weight is positive.
     """
-    Xa, Ya, wa = _active_arrays(matches, source, target, weights, cfg.prefilter_tau)
+    Xa, Ya, wa = _active_arrays(matches, source, target, weights)
     t = np.asarray(t, dtype=np.float64).reshape(3)
 
-    n1 = np.linalg.norm(a.a1)
-    b1 = a.a1 / n1
-    u = a.a2 - (b1 @ a.a2) * b1
-    nu = np.linalg.norm(u)
-    b2 = u / nu
-    b3 = np.cross(b1, b2)
-    R = np.column_stack([b1, b2, b3])
+    b1, b2, n1, nu = _gram_schmidt(a.a1, a.a2)
+    R = rot6d_to_matrix(a)
 
     d = Xa @ R.T + t - Ya
     r = np.linalg.norm(d, axis=1)
@@ -249,14 +250,15 @@ def refine(
     Each step's rotation is rebuilt through the 6D map before it is scored,
     and that is the rotation returned.
 
-    Raises NoActiveCorrespondences when no weight exceeds prefilter_tau,
+    ``weights`` are the prefiltered phi(w): the active pairs are those with
+    a positive weight. Raises NoActiveCorrespondences when there are none,
     and the solver's TooFewCorrespondences or DegenerateConfiguration when
     the active pairs are fewer than 3 or collinear, since the pose is then
     underdetermined. A step rotation that is not a proper rotation raises
     NotARotation, one that the 6D map cannot represent
     DegenerateRepresentation.
     """
-    Xa, Ya, wa = _active_arrays(matches, source, target, weights, cfg.prefilter_tau)
+    Xa, Ya, wa = _active_arrays(matches, source, target, weights)
     delta = cfg.huber_delta
 
     R = rot6d_to_matrix(matrix_to_rot6d(init.rotation))
@@ -271,7 +273,7 @@ def refine(
         iterations += 1
         v = wa * (delta / np.maximum(r, delta))
         total = float(v.sum())
-        step = checked_fit(Xa, Ya, NormalizedWeights(v / total, 0.0, total))
+        step = checked_fit(Xa, Ya, NormalizedWeights(v / total, total))
         # score the rotation as the 6D map rebuilds it; matrix_to_rot6d is
         # the step's one rotation check
         candidate_R = rot6d_to_matrix(matrix_to_rot6d(step.rotation))

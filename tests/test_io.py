@@ -1,5 +1,6 @@
 """File formats: PLY, weight files, configs, suites, pose JSON, reports."""
 
+import dataclasses
 import json
 import math
 
@@ -7,10 +8,13 @@ import numpy as np
 import pytest
 
 from rigidreg import (
+    FeatureConfig,
     FileFormatError,
     MAIN_BRANCH,
     PipelineConfig,
     PointCloud,
+    RansacConfig,
+    RefineConfig,
     RegistrationResult,
     RigidTransform,
     SyntheticPairSpec,
@@ -30,6 +34,7 @@ from rigidreg import (
     write_weight_file,
 )
 from rigidreg.evaluation import FilePairSpec
+from rigidreg.io import _CONFIG_KEYS
 
 from _oracles import rot_z
 
@@ -351,6 +356,19 @@ def test_config_ransac_threshold_defaults_to_voxel_size(tmp_path):
     cfg = parse_config_file(path)
     assert cfg.ransac.inlier_threshold == 0.2
     assert cfg.ransac.max_iterations == 50
+
+
+def test_config_keys_name_exactly_the_config_fields():
+    # every settable field has a key and every key a field, so a field
+    # that nothing can set (or a key that sets nothing) fails here
+    nested = {"feature": FeatureConfig, "refine": RefineConfig, "ransac": RansacConfig}
+    expected = {
+        (section, f.name) for section, cls in nested.items() for f in dataclasses.fields(cls)
+    }
+    expected |= {
+        ("pipeline", f.name) for f in dataclasses.fields(PipelineConfig) if f.name not in nested
+    }
+    assert {(section, field) for section, field, _ in _CONFIG_KEYS.values()} == expected
 
 
 @pytest.mark.parametrize(

@@ -170,6 +170,34 @@ def test_fraction_equal_to_threshold_stays_on_main_branch(patch_cloud):
     assert set(res.stage_seconds) == {"solve", "refine"}
 
 
+def test_prefilter_tau_decides_which_pairs_refinement_sees(patch_cloud):
+    # 20 of 60 pairs weigh 0.45, at or below prefilter_tau = 0.5 (and
+    # above RefineConfig's old 0.4 default): moving their targets by metres
+    # must change neither the solve nor the refinement
+    n = 60
+    X = patch_cloud.points[:n]
+    Y = RigidTransform(_R, _T).apply(X) + np.random.default_rng(3).normal(scale=0.01, size=(n, 3))
+    w = np.full(n, 0.9)
+    low = np.arange(0, n, 3)
+    w[low] = 0.45
+    moved = Y.copy()
+    moved[low] += [3.0, -2.0, 4.0]
+
+    def run(target, tau):
+        return register_with_correspondences(
+            _identity_matches(n), WeightVector(w), PointCloud(X), PointCloud(target),
+            PipelineConfig(prefilter_tau=tau),
+        )
+
+    base, shifted = run(Y, 0.5), run(moved, 0.5)
+    assert base.branch == shifted.branch == MAIN_BRANCH
+    assert base.transform.rotation.tobytes() == shifted.transform.rotation.tobytes()
+    assert base.transform.translation.tobytes() == shifted.transform.translation.tobytes()
+    assert base.trace == shifted.trace
+    # below 0.45 the moved pairs are active again
+    assert run(moved, 0.4).trace.energies != base.trace.energies
+
+
 # ---------------------------------------------------------------------------
 # safeguard branch
 # ---------------------------------------------------------------------------

@@ -197,7 +197,7 @@ def _sequential_ransac(matches, source, target, cfg):
 
     def fit(Xs, Ys):
         k = Xs.shape[0]
-        return solve(Xs, Ys, NormalizedWeights(np.full(k, 1.0 / k), 0.0, float(k))).transform
+        return solve(Xs, Ys, NormalizedWeights(np.full(k, 1.0 / k), float(k))).transform
 
     rng = np.random.default_rng(cfg.seed)
     best_count, best_rms, best_transform, best_inliers = -1, np.inf, None, None

@@ -158,9 +158,9 @@ def test_energy_ignores_prefiltered_pairs(rng):
     src = PointCloud(pts)
     tgt = PointCloud(pts + rng.normal(size=(10, 3)) * 0.1)
     matches = _identity_matches(10)
-    cfg = RefineConfig(prefilter_tau=0.4)
+    cfg = RefineConfig()
     a = matrix_to_rot6d(np.eye(3))
-    w_mixed = np.concatenate([rng.uniform(0.5, 1.0, 6), np.full(4, 0.2)])
+    w_mixed = np.concatenate([rng.uniform(0.5, 1.0, 6), np.zeros(4)])
     full = energy(a, np.zeros(3), matches, src, tgt, WeightVector(w_mixed), cfg)
     # recompute with the inactive targets wrecked: identical energy
     wrecked = tgt.points.copy()
@@ -172,12 +172,12 @@ def test_energy_ignores_prefiltered_pairs(rng):
 def test_energy_zero_when_nothing_active(rng):
     pts = rng.normal(size=(4, 3))
     cloud = PointCloud(pts)
-    cfg = RefineConfig(prefilter_tau=0.4)
+    cfg = RefineConfig()
     a = matrix_to_rot6d(np.eye(3))
-    got = energy(a, np.zeros(3), _identity_matches(4), cloud, cloud, WeightVector(np.full(4, 0.1)), cfg)
+    got = energy(a, np.zeros(3), _identity_matches(4), cloud, cloud, WeightVector(np.zeros(4)), cfg)
     assert got == 0.0
     with pytest.raises(NoActiveCorrespondences):
-        energy_gradient(a, np.zeros(3), _identity_matches(4), cloud, cloud, WeightVector(np.full(4, 0.1)), cfg)
+        energy_gradient(a, np.zeros(3), _identity_matches(4), cloud, cloud, WeightVector(np.zeros(4)), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +352,7 @@ def test_refine_rejects_an_underdetermined_active_set(rng):
     pts = rng.normal(size=(6, 3))
     init = RigidTransform.identity()
     # two active pairs: the pose is underdetermined
-    w = WeightVector(np.array([0.9, 0.8, 0.1, 0.0, 0.2, 0.3]))
+    w = WeightVector(np.array([0.9, 0.8, 0.0, 0.0, 0.0, 0.0]))
     with pytest.raises(TooFewCorrespondences):
         refine(init, _identity_matches(6), PointCloud(pts), PointCloud(pts + 0.1), w, RefineConfig())
     # active points on one line: the rotation about it is underdetermined
@@ -363,8 +363,6 @@ def test_refine_rejects_an_underdetermined_active_set(rng):
 
 
 def test_refine_config_validation():
-    with pytest.raises(ValueError):
-        RefineConfig(prefilter_tau=1.0)
     with pytest.raises(ValueError):
         RefineConfig(huber_delta=0.0)
     with pytest.raises(ValueError):
@@ -395,7 +393,7 @@ def _frozen_rot6d_to_matrix(a):
 
 def _frozen_energy(a, t, matches, source, target, weights, cfg):
     w = weights.values
-    active = w > cfg.prefilter_tau
+    active = w > 0.0
     if not active.any():
         return 0.0
     pairs = matches.pairs[active]
@@ -412,7 +410,7 @@ def _frozen_refine(init, matches, source, target, weights, cfg):
     """Huber IRLS as it was first written: the public energy scores each
     step on arrays gathered again, and solve returns a RigidTransform.
     Returns (rotation, translation, energies, iterations, termination)."""
-    active = weights.values > cfg.prefilter_tau
+    active = weights.values > 0.0
     pairs = matches.pairs[active]
     Xa, Ya, wa = source.points[pairs[:, 0]], target.points[pairs[:, 1]], weights.values[active]
 
@@ -431,7 +429,7 @@ def _frozen_refine(init, matches, source, target, weights, cfg):
         r = np.linalg.norm(Xa @ R.T + t - Ya, axis=1)
         v = wa * (cfg.huber_delta / np.maximum(r, cfg.huber_delta))
         total = float(v.sum())
-        step = solve(Xa, Ya, NormalizedWeights(v / total, 0.0, total)).transform
+        step = solve(Xa, Ya, NormalizedWeights(v / total, total)).transform
         candidate_rot = to_rot6d(step.rotation)
         candidate = _frozen_energy(candidate_rot, step.translation, matches, source, target, weights, cfg)
         decrease = current - candidate
