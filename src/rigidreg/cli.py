@@ -46,7 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("benchmark", help="run a registration suite")
     bench.add_argument("--suite", required=True, help="suite file, one pair per line")
-    bench.add_argument("--config", help="key=value config file")
+    bench.add_argument("--config", help="key=value config file applied over the preset")
     bench.add_argument("--report", required=True, help="output report JSON")
     bench.add_argument("--curves", help="output recall-vs-threshold CSV")
     bench.add_argument(
@@ -102,7 +102,9 @@ def _cmd_register(args) -> int:
 
 def _cmd_benchmark(args) -> int:
     preset = PRESETS[args.preset]()
-    cfg = parse_config_file(args.config) if args.config else preset.pipeline
+    cfg = preset.pipeline
+    if args.config:
+        cfg = parse_config_file(args.config, base=cfg)
     suite = parse_suite_file(args.suite)
     re_threshold = (
         math.radians(args.re_threshold_deg)

@@ -332,38 +332,6 @@ class HeuristicWeighter:
         return reciprocal * score
 
 
-class FileWeighter:
-    """Weights read from a weight file; pairs must match the correspondence
-    set exactly (see the file-format module for the layout)."""
-
-    def __init__(self, path):
-        self.path = path
-
-    def __call__(self, matches, source, target):
-        from .io import read_weight_file  # file formats live in io
-
-        from .errors import FileFormatError
-
-        source_size, target_size, pairs, weights = read_weight_file(self.path)
-        if source_size != matches.source_size or target_size != matches.target_size:
-            raise WeightLengthMismatch(
-                f"weight file declares cloud sizes {source_size}x{target_size}, "
-                f"correspondences expect {matches.source_size}x{matches.target_size}"
-            )
-        if pairs.shape[0] != len(matches):
-            raise WeightLengthMismatch(
-                f"weight file has {pairs.shape[0]} entries, expected {len(matches)}"
-            )
-        if not np.array_equal(pairs, matches.pairs):
-            first = int(np.flatnonzero(np.any(pairs != matches.pairs, axis=1))[0])
-            raise FileFormatError(
-                f"{self.path}: entry {first} pairs ({pairs[first, 0]}, "
-                f"{pairs[first, 1]}) but correspondence {first} is "
-                f"({matches.pairs[first, 0]}, {matches.pairs[first, 1]})"
-            )
-        return weights
-
-
 def weigh(
     matches: CorrespondenceSet,
     source: PointCloud,

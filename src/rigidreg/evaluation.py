@@ -20,10 +20,10 @@ from typing import Mapping, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .correspondence import CorrespondenceSet, OracleWeighter
+from .correspondence import CorrespondenceSet
 from .errors import RegistrationError
 from .geometry import F64, PointCloud, RigidTransform
-from .pipeline import PipelineConfig, parse_weighter_spec, register, resolve_weighter
+from .pipeline import PipelineConfig, register, resolve_weighter
 from .results import RegistrationResult
 
 # default sweep grids for the recall-vs-threshold curves
@@ -335,11 +335,9 @@ def _run_one(pair_id: int, entry, cfg: PipelineConfig, re_t: float, te_t: float,
     # end of the suite; programming errors still propagate
     try:
         source, target, truth = _materialize(entry)
-        provider = weighter
-        # only the oracle needs the ground truth; register resolves the rest
-        if provider is None and parse_weighter_spec(cfg.weighter)[0] == "oracle":
-            provider = resolve_weighter(cfg.weighter, ground_truth=truth)
-        result: RegistrationResult = register(source, target, cfg, weighter=provider)
+        if weighter is None:
+            weighter = resolve_weighter(cfg.weighter, ground_truth=truth)
+        result: RegistrationResult = register(source, target, cfg, weighter=weighter)
     except (RegistrationError, OSError) as exc:
         return (
             PairRecord(pair_id, None, None, None, False, type(exc).__name__),
@@ -374,8 +372,8 @@ def run_benchmark(
 ) -> BenchmarkReport:
     """Register every pair in the suite and aggregate recall and errors.
 
-    Per-pair failures (a registration error, or a pair or weight file that
-    is missing or malformed) are recorded as unsuccessful rows whose
+    Per-pair failures (a registration error, or a pair file that is
+    missing or malformed) are recorded as unsuccessful rows whose
     ``error`` is the exception's class name; the suite always runs to
     completion. Pairs are evaluated in parallel up to
     :func:`worker_count` threads, with aggregation independent of schedule.

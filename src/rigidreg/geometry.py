@@ -229,18 +229,3 @@ class SpatialIndex:
             return d1, np.full_like(d1, np.inf)
         dist, _ = self._tree.query(q, k=2)
         return dist[:, 0].copy(), dist[:, 1].copy()
-
-
-def build_index(cloud: PointCloud, space: str = "coordinates") -> SpatialIndex:
-    """Build an exact 1-NN index over point coordinates or features."""
-    if space == "coordinates":
-        if len(cloud) == 0:
-            raise EmptyCloud("cannot index an empty cloud")
-        return SpatialIndex(cloud.points)
-    if space == "features":
-        from .errors import MissingFeatures
-
-        if cloud.features is None:
-            raise MissingFeatures("cloud has no features to index")
-        return SpatialIndex(cloud.features)
-    raise ValueError(f"unknown index space {space!r}")

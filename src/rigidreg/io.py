@@ -3,7 +3,9 @@ JSON, and benchmark reports.
 
 Every parser rejects malformed input with an error that names the file and
 the offending line (or byte offset for binary data); there is no partial
-silent success.
+silent success. A config value that parses but that the config classes
+refuse (``voxel_size = -1``, an unknown weighter) is reported with the file
+and the setting it refuses.
 """
 
 from __future__ import annotations
@@ -11,17 +13,15 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from typing import BinaryIO
 
 import numpy as np
 
-from .correspondence import FeatureConfig
 from .errors import FileFormatError, NotARotation, UnsupportedFormat
 from .evaluation import BenchmarkReport, FilePairSpec, SyntheticPairSpec
 from .geometry import PointCloud, RigidTransform
-from .pipeline import PipelineConfig, parse_weighter_spec
-from .refine import RefineConfig
+from .pipeline import PipelineConfig
 from .results import RegistrationResult
 
 # ---------------------------------------------------------------------------
@@ -332,38 +332,42 @@ def write_weight_file(path, source_size: int, target_size: int, pairs, weights) 
 # config files
 # ---------------------------------------------------------------------------
 
-# key -> (section, field, converter); flat keys configure the pipeline,
-# dotted keys configure the nested feature/refine/ransac blocks
-_CONFIG_KEYS = {
-    "voxel_size": ("pipeline", "voxel_size", float),
-    "safeguard_tau_s": ("pipeline", "safeguard_tau_s", float),
-    "prefilter_tau": ("pipeline", "prefilter_tau", float),
-    "seed": ("pipeline", "seed", int),
-    "weighter": ("pipeline", "weighter", None),
-    "feature.descriptor": ("feature", "descriptor", str),
-    "feature.radius": ("feature", "radius", float),
-    "feature.bins": ("feature", "bins", int),
-    "refine.huber_delta": ("refine", "huber_delta", float),
-    "refine.max_iters": ("refine", "max_iters", int),
-    "refine.convergence_tol": ("refine", "convergence_tol", float),
-    "ransac.max_iterations": ("ransac", "max_iterations", int),
-    "ransac.inlier_threshold": ("ransac", "inlier_threshold", float),
-    "ransac.confidence": ("ransac", "confidence", float),
-    "ransac.seed": ("ransac", "seed", int),
-}
+def _config_keys() -> dict[str, tuple[str, str, type]]:
+    """key -> (section, field, type): a flat key per pipeline field and a
+    dotted key per field of each nested block (feature, refine, ransac).
+    A value parses with the type of its field's default value."""
+    keys = {}
+    defaults = PipelineConfig()
+    for outer in fields(PipelineConfig):
+        value = getattr(defaults, outer.name)
+        if is_dataclass(value):
+            for inner in fields(value):
+                keys[f"{outer.name}.{inner.name}"] = (
+                    outer.name, inner.name, type(getattr(value, inner.name))
+                )
+        else:
+            keys[outer.name] = ("pipeline", outer.name, type(value))
+    return keys
 
 
-def parse_config_file(path) -> PipelineConfig:
-    """Parse a flat ``key = value`` config into a pipeline configuration.
+_CONFIG_KEYS = _config_keys()
 
+
+def parse_config_file(path, base: PipelineConfig = PipelineConfig()) -> PipelineConfig:
+    """Apply a flat ``key = value`` config file to ``base``.
+
+    Keys the file leaves out keep their values in ``base``. A
+    ``voxel_size`` set without ``ransac.inlier_threshold`` moves the
+    threshold with it, as a config built with ``ransac=None`` would.
     Blank lines and ``#`` comments are allowed; unknown or duplicate keys
-    are rejected; every error names the file and line.
+    and unparsable values are rejected naming the file and line, values
+    the config classes refuse naming the file and the setting.
     """
     path = os.fspath(path)
     with open(path, "r", encoding="utf-8") as handle:
         lines = handle.read().split("\n")
 
-    sections: dict[str, dict] = {"pipeline": {}, "feature": {}, "refine": {}, "ransac": {}}
+    sections: dict[str, dict] = {section: {} for section, _, _ in _CONFIG_KEYS.values()}
     seen: dict[str, int] = {}
     for index, line in enumerate(lines):
         stripped = line.strip()
@@ -383,13 +387,6 @@ def parse_config_file(path) -> PipelineConfig:
             )
         seen[key] = index
         section, field, converter = _CONFIG_KEYS[key]
-        if key == "weighter":
-            try:
-                parse_weighter_spec(value)
-            except ValueError as exc:
-                raise FileFormatError(f"{where}: {exc}") from None
-            sections[section][field] = value
-            continue
         try:
             sections[section][field] = converter(value)
         except ValueError:
@@ -397,17 +394,19 @@ def parse_config_file(path) -> PipelineConfig:
                 f"{where}: cannot parse {value!r} as {converter.__name__} for {key!r}"
             ) from None
 
+    top = sections.pop("pipeline")
     try:
-        pipeline = PipelineConfig(
-            feature=FeatureConfig(**sections["feature"]),
-            refine=RefineConfig(**sections["refine"]),
-            **sections["pipeline"],
-        )
-        # keys not given keep the defaults PipelineConfig resolved, among
-        # them inlier_threshold = voxel_size
-        if sections["ransac"]:
-            pipeline = replace(pipeline, ransac=replace(pipeline.ransac, **sections["ransac"]))
-        return pipeline
+        pipeline = replace(base, **top)
+        if "voxel_size" in top:
+            # the threshold PipelineConfig resolves for the new voxel size
+            sections["ransac"].setdefault(
+                "inlier_threshold", replace(pipeline, ransac=None).ransac.inlier_threshold
+            )
+        blocks = {
+            name: replace(getattr(pipeline, name), **values)
+            for name, values in sections.items() if values
+        }
+        return replace(pipeline, **blocks)
     except ValueError as exc:
         raise FileFormatError(f"{path}: invalid configuration: {exc}") from None
 

@@ -19,11 +19,13 @@ import math
 import time
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .correspondence import (
     CorrespondenceSet,
     FeatureConfig,
-    FileWeighter,
     HeuristicWeighter,
+    OracleWeighter,
     UniformWeighter,
     WeightProvider,
     WeightVector,
@@ -49,16 +51,18 @@ from .results import MAIN_BRANCH, RegistrationResult
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Knobs for the full pipeline.
+    """Knobs for the full pipeline, checked when the config is built: an
+    invalid value raises ValueError here, not at the first registration.
 
-    ``weighter`` is a provider name: "uniform", "heuristic", "file:PATH",
-    or "oracle[:TAU]" (the oracle needs a ground-truth transform and is
-    only resolvable where one exists, e.g. the synthetic benchmark).
-    ``prefilter_tau`` is the one prefilter threshold: it governs weight
-    normalization, the safeguard statistic and, as refinement gets the
-    prefiltered weights, which pairs refinement sees. ``seed`` drives the
-    voxel subsampling draw. A ``ransac`` of None resolves to defaults with
-    ``inlier_threshold = voxel_size``.
+    ``weighter`` is a provider name: "uniform", "heuristic", or
+    "oracle[:TAU]" (the oracle needs a ground-truth transform and is only
+    resolvable where one exists, e.g. the synthetic benchmark). Weights
+    computed elsewhere enter through :func:`register_with_correspondences`
+    instead. ``prefilter_tau`` is the one prefilter threshold: it governs
+    weight normalization, the safeguard statistic and, as refinement gets
+    the prefiltered weights, which pairs refinement sees. ``seed``, a
+    non-negative integer, drives the voxel subsampling draw. A ``ransac``
+    of None resolves to defaults with ``inlier_threshold = voxel_size``.
     """
 
     feature: FeatureConfig = FeatureConfig()
@@ -71,29 +75,32 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        parse_weighter_spec(self.weighter)
         if not self.voxel_size > 0:
             raise ValueError("voxel_size must be positive")
         if not 0.0 < self.safeguard_tau_s < 1.0:
             raise ValueError("safeguard_tau_s must lie in (0, 1)")
         if not 0.0 <= self.prefilter_tau < 1.0:
             raise ValueError("prefilter_tau must lie in [0, 1)")
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.ransac is None:
             object.__setattr__(
                 self, "ransac", RansacConfig(inlier_threshold=self.voxel_size)
             )
 
 
-def parse_weighter_spec(spec: str) -> tuple[str, str | float | None]:
+def parse_weighter_spec(spec: str) -> tuple[str, float | None]:
     """Split a provider name into its kind and argument: ("uniform", None),
-    ("heuristic", None), ("file", PATH) or ("oracle", TAU or None).
+    ("heuristic", None) or ("oracle", TAU or None).
 
     Raises ValueError naming an unknown weighter or an oracle tau that is
     not a positive number.
     """
+    if not isinstance(spec, str):
+        raise ValueError(f"weighter must be a string, got {spec!r}")
     if spec in ("uniform", "heuristic", "oracle"):
         return spec, None
-    if spec.startswith("file:") and len(spec) > len("file:"):
-        return "file", spec[len("file:"):]
     if spec.startswith("oracle:"):
         try:
             tau = float(spec[len("oracle:"):])
@@ -102,22 +109,16 @@ def parse_weighter_spec(spec: str) -> tuple[str, str | float | None]:
         if not tau > 0:
             raise ValueError(f"bad oracle tau in {spec!r}: expected a positive number")
         return "oracle", tau
-    raise ValueError(
-        f"unknown weighter {spec!r} (expected uniform, heuristic, file:PATH or oracle[:TAU])"
-    )
+    raise ValueError(f"unknown weighter {spec!r} (expected uniform, heuristic or oracle[:TAU])")
 
 
 def resolve_weighter(spec: str, ground_truth=None) -> WeightProvider:
     """Instantiate the provider named by a config string."""
-    from .correspondence import OracleWeighter
-
     kind, argument = parse_weighter_spec(spec)
     if kind == "uniform":
         return UniformWeighter()
     if kind == "heuristic":
         return HeuristicWeighter()
-    if kind == "file":
-        return FileWeighter(argument)
     if ground_truth is None:
         raise ValueError(
             "oracle weighter requires a ground-truth transform; it is only "

@@ -57,12 +57,18 @@ class RansacConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.max_iterations, (int, np.integer)):
+            raise ValueError(
+                f"max_iterations must be an integer, got {self.max_iterations!r}"
+            )
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
         if not self.inlier_threshold > 0:
             raise ValueError("inlier_threshold must be positive")
         if not 0.0 < self.confidence < 1.0:
             raise ValueError("confidence must lie in (0, 1)")
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 def inlier_fraction(weights: WeightVector, tau: float) -> float:

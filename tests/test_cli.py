@@ -2,11 +2,20 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from rigidreg import PointCloud, RigidTransform, write_ply, write_weight_file
+from rigidreg import (
+    PointCloud,
+    RigidTransform,
+    outdoor_preset,
+    run_benchmark,
+    write_ply,
+    write_weight_file,
+)
+from rigidreg import cli
 from rigidreg.cli import main
 
 from _oracles import quaternion_angle, rodrigues
@@ -241,6 +250,25 @@ def test_benchmark_outdoor_preset_thresholds(capsys, tmp_path):
     doc = json.loads(report.read_text())
     assert abs(doc["re_threshold_deg"] - 5.0) < 1e-12
     assert doc["te_threshold_m"] == 0.60
+
+
+def test_benchmark_config_file_edits_the_preset(capsys, tmp_path, monkeypatch):
+    seen = []
+
+    def spy(suite, cfg, *thresholds):
+        seen.append(cfg)
+        return run_benchmark(suite, cfg, *thresholds)
+
+    monkeypatch.setattr(cli, "run_benchmark", spy)
+    config = tmp_path / "seed.cfg"
+    config.write_text("seed = 3\n")
+    code, _, _ = _run_benchmark_cli(
+        tmp_path, "cfg", ["--preset", "outdoor", "--config", str(config)]
+    )
+    capsys.readouterr()
+    assert code == 0
+    assert seen == [replace(outdoor_preset().pipeline, seed=3)]
+    assert seen[0].voxel_size == 0.30 and seen[0].ransac.inlier_threshold == 0.30
 
 
 def test_benchmark_missing_suite_exits_one(capsys, tmp_path):

@@ -11,8 +11,6 @@ from rigidreg import (
     CorrespondenceSet,
     DimensionMismatch,
     FeatureConfig,
-    FileFormatError,
-    FileWeighter,
     HeuristicWeighter,
     InlierLabels,
     LengthMismatch,
@@ -32,7 +30,6 @@ from rigidreg import (
     match_nearest,
     voxel_downsample,
     weigh,
-    write_weight_file,
 )
 
 from _oracles import rodrigues
@@ -404,30 +401,6 @@ def test_heuristic_weighter_needs_features(patch_cloud):
     matches = CorrespondenceSet(np.array([[0, 0]]), len(patch_cloud), len(patch_cloud))
     with pytest.raises(MissingFeatures):
         HeuristicWeighter()(matches, patch_cloud, patch_cloud)
-
-
-def test_file_weighter_round_trip(tmp_path):
-    matches, src, tgt = _tiny_pair()
-    path = tmp_path / "w.dgrw"
-    write_weight_file(path, 2, 2, matches.pairs, [0.25, 0.75])
-    w = weigh(matches, src, tgt, FileWeighter(path))
-    np.testing.assert_array_equal(w.values, [0.25, 0.75])
-
-
-def test_file_weighter_rejects_size_mismatch(tmp_path):
-    matches, src, tgt = _tiny_pair()
-    path = tmp_path / "w.dgrw"
-    write_weight_file(path, 3, 2, matches.pairs, [0.5, 0.5])
-    with pytest.raises(WeightLengthMismatch):
-        FileWeighter(path)(matches, src, tgt)
-
-
-def test_file_weighter_rejects_pair_mismatch(tmp_path):
-    matches, src, tgt = _tiny_pair()
-    path = tmp_path / "w.dgrw"
-    write_weight_file(path, 2, 2, np.array([[0, 1], [1, 0]]), [0.5, 0.5])
-    with pytest.raises(FileFormatError):
-        FileWeighter(path)(matches, src, tgt)
 
 
 def test_weigh_validates_provider_output():

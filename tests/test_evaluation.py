@@ -356,14 +356,6 @@ def test_run_benchmark_bad_pair_file_is_a_failed_row(tmp_path, problem, error):
     assert rep.recall == 0.5
 
 
-def test_run_benchmark_missing_weight_file_fails_every_row():
-    cfg = PipelineConfig(weighter="file:/nonexistent/w.dgrw")
-    rep = run_benchmark(_CLEAN_SUITE[:2], cfg, math.radians(15.0), 0.30)
-    assert [r.error for r in rep.records] == ["FileNotFoundError"] * 2
-    assert rep.recall == 0.0
-    assert dict(rep.branch_counts) == {"failed": 2}
-
-
 _SAFEGUARD_SUITE = [
     SyntheticPairSpec(n_points=300, overlap_ratio=0.8, noise_sigma=0.005,
                       outlier_ratio=0.3, seed=s)

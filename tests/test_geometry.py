@@ -9,13 +9,11 @@ from hypothesis import strategies as st
 
 from rigidreg import (
     EmptyCloud,
-    MissingFeatures,
     NotARotation,
     PointCloud,
     RigidTransform,
     SpatialIndex,
     apply_transform,
-    build_index,
     compose,
     orthonormalize,
     voxel_downsample,
@@ -222,14 +220,14 @@ def test_voxel_one_point_per_cell_property(seed):
 
 def test_index_self_query(rng):
     pts = rng.normal(size=(50, 3))
-    index = build_index(PointCloud(pts))
+    index = SpatialIndex(pts)
     idx, dist = index.query(pts[17])
     assert idx[0] == 17 and dist[0] == 0.0
 
 
 def test_index_collinear_example():
     pts = np.array([[0.0, 0, 0], [1.0, 0, 0], [3.0, 0, 0]])
-    idx, _ = build_index(PointCloud(pts)).query(np.array([1.9, 0.0, 0.0]))
+    idx, _ = SpatialIndex(pts).query(np.array([1.9, 0.0, 0.0]))
     assert idx[0] == 1
 
 
@@ -266,11 +264,7 @@ def test_index_query_two_reports_inf_for_singleton():
     assert d1[0] == 1.0 and math.isinf(d2[0])
 
 
-def test_index_feature_space_requires_features(patch_cloud):
-    with pytest.raises(MissingFeatures):
-        build_index(patch_cloud, space="features")
-    with pytest.raises(ValueError):
-        build_index(patch_cloud, space="nonsense")
+def test_index_feature_space_requires_features():
     with pytest.raises(EmptyCloud):
         SpatialIndex(np.zeros((0, 3)))
 

@@ -358,6 +358,21 @@ def test_config_ransac_threshold_defaults_to_voxel_size(tmp_path):
     assert cfg.ransac.max_iterations == 50
 
 
+def test_config_file_edits_its_base(tmp_path):
+    base = PipelineConfig(voxel_size=0.3, seed=1)
+    base = dataclasses.replace(base, ransac=dataclasses.replace(base.ransac, seed=9))
+    path = tmp_path / "edit.cfg"
+    path.write_text("seed = 3\n")
+    assert parse_config_file(path, base=base) == dataclasses.replace(base, seed=3)
+    # a new voxel size moves the threshold; the base's other RANSAC values stay
+    path.write_text("voxel_size = 0.2\nrefine.max_iters = 7\n")
+    cfg = parse_config_file(path, base=base)
+    assert cfg.ransac == dataclasses.replace(base.ransac, inlier_threshold=0.2)
+    assert cfg.refine.max_iters == 7 and cfg.seed == 1
+    path.write_text("voxel_size = 0.2\nransac.inlier_threshold = 0.5\n")
+    assert parse_config_file(path, base=base).ransac.inlier_threshold == 0.5
+
+
 def test_config_keys_name_exactly_the_config_fields():
     # every settable field has a key and every key a field, so a field
     # that nothing can set (or a key that sets nothing) fails here
@@ -379,6 +394,8 @@ def test_config_keys_name_exactly_the_config_fields():
         ("voxel_size = 0.1\nvoxel_size = 0.2\n", ":2: duplicate key"),
         ("voxel_size zero\n", "expected 'key = value'"),
         ("seed = 1.5\n", "cannot parse '1.5' as int"),
+        ("seed = -1\n", "seed must be a non-negative integer"),
+        ("ransac.seed = -2\n", "seed must be a non-negative integer"),
         ("voxel_size = -1\n", "invalid configuration"),
         ("weighter = psychic\n", "unknown weighter"),
         ("weighter = file:\n", "unknown weighter"),
@@ -394,6 +411,7 @@ def test_config_errors_are_located(tmp_path, content, fragment):
     with pytest.raises(FileFormatError) as err:
         parse_config_file(path)
     assert fragment in str(err.value)
+    assert str(path) in str(err.value)
 
 
 # ---------------------------------------------------------------------------

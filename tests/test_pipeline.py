@@ -10,7 +10,6 @@ import rigidreg
 from rigidreg import (
     CorrespondenceSet,
     EmptyCloud,
-    FileWeighter,
     HeuristicWeighter,
     LengthMismatch,
     MAIN_BRANCH,
@@ -71,6 +70,16 @@ def test_config_validation():
         PipelineConfig(safeguard_tau_s=1.0)
     with pytest.raises(ValueError):
         PipelineConfig(prefilter_tau=-0.1)
+    with pytest.raises(ValueError):
+        PipelineConfig(seed=-1)
+    with pytest.raises(ValueError):
+        PipelineConfig(seed=1.5)
+
+
+@pytest.mark.parametrize("weighter", ["psychic", "file:weights.dgrw", "oracle:-1", 3])
+def test_config_checks_the_weighter_when_built(weighter):
+    with pytest.raises(ValueError):
+        PipelineConfig(weighter=weighter)
 
 
 def test_config_default_ransac_threshold_tracks_voxel_size():
@@ -82,8 +91,6 @@ def test_config_default_ransac_threshold_tracks_voxel_size():
 def test_resolve_weighter_names():
     assert isinstance(resolve_weighter("uniform"), UniformWeighter)
     assert isinstance(resolve_weighter("heuristic"), HeuristicWeighter)
-    fw = resolve_weighter("file:some/weights.txt")
-    assert isinstance(fw, FileWeighter) and fw.path == "some/weights.txt"
     truth = RigidTransform.identity()
     ow = resolve_weighter("oracle", ground_truth=truth)
     assert isinstance(ow, OracleWeighter) and ow.tau == 0.1
@@ -138,7 +145,7 @@ def test_register_heuristic_weighter(patch_cloud):
 
 def test_register_explicit_provider_overrides_config(patch_cloud):
     src, tgt, truth = _pair(patch_cloud.points)
-    cfg = PipelineConfig(weighter="file:does/not/exist")
+    cfg = PipelineConfig(weighter="oracle")  # unresolvable without a ground truth
     res = register(src, tgt, cfg, weighter=OracleWeighter(truth, tau=0.01))
     assert res.branch == MAIN_BRANCH
     assert math.degrees(quaternion_angle(res.transform.rotation, truth.rotation)) < 1e-9

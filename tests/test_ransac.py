@@ -52,6 +52,10 @@ def test_config_validation():
     with pytest.raises(ValueError):
         RansacConfig(max_iterations=0)
     with pytest.raises(ValueError):
+        RansacConfig(max_iterations=2.5)
+    with pytest.raises(ValueError):
+        RansacConfig(seed=-2)
+    with pytest.raises(ValueError):
         RansacConfig(inlier_threshold=0.0)
     with pytest.raises(ValueError):
         RansacConfig(confidence=1.0)
