@@ -307,10 +307,9 @@ def worker_count() -> int:
     raw = os.environ.get("DGR_THREADS", "").strip()
     if raw in ("", "0"):
         return os.cpu_count() or 1
-    value = int(raw)
-    if value < 0:
-        raise ValueError("DGR_THREADS must be non-negative")
-    return value
+    if not raw.isdecimal():
+        raise ValueError(f"DGR_THREADS must be a non-negative integer, got {raw!r}")
+    return int(raw)
 
 
 def _materialize(entry):

@@ -76,8 +76,8 @@ class PipelineConfig:
 
     def __post_init__(self) -> None:
         parse_weighter_spec(self.weighter)
-        if not self.voxel_size > 0:
-            raise ValueError("voxel_size must be positive")
+        if not (self.voxel_size > 0 and math.isfinite(self.voxel_size)):
+            raise ValueError("voxel_size must be finite and positive")
         if not 0.0 < self.safeguard_tau_s < 1.0:
             raise ValueError("safeguard_tau_s must lie in (0, 1)")
         if not 0.0 <= self.prefilter_tau < 1.0:

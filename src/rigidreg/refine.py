@@ -80,8 +80,8 @@ class RefineConfig:
             raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if not self.convergence_tol > 0:
-            raise ValueError("convergence_tol must be positive")
+        if not (self.convergence_tol > 0 and math.isfinite(self.convergence_tol)):
+            raise ValueError("convergence_tol must be finite and positive")
 
 
 @dataclass(frozen=True)

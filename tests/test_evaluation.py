@@ -217,6 +217,14 @@ def test_worker_count_env(monkeypatch):
         worker_count()
 
 
+@pytest.mark.parametrize("raw", ["abc", "-2", "1.5"])
+def test_worker_count_error_names_the_variable(monkeypatch, raw):
+    monkeypatch.setenv("DGR_THREADS", raw)
+    with pytest.raises(ValueError) as err:
+        worker_count()
+    assert str(err.value) == f"DGR_THREADS must be a non-negative integer, got {raw!r}"
+
+
 # ---------------------------------------------------------------------------
 # benchmark harness
 # ---------------------------------------------------------------------------

@@ -403,6 +403,9 @@ def test_config_keys_name_exactly_the_config_fields():
         ("weighter = oracle:-1\n", "bad oracle tau"),
         ("feature.radius = inf\n", "radius must be finite"),
         ("refine.huber_delta = inf\n", "huber_delta must be finite"),
+        ("voxel_size = inf\n", "voxel_size must be finite"),
+        ("refine.convergence_tol = inf\n", "convergence_tol must be finite"),
+        ("ransac.inlier_threshold = nan\n", "inlier_threshold must be finite"),
     ],
 )
 def test_config_errors_are_located(tmp_path, content, fragment):

@@ -369,6 +369,9 @@ def test_refine_config_validation():
         RefineConfig(max_iters=0)
     with pytest.raises(ValueError):
         RefineConfig(convergence_tol=0.0)
+    for tol in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            RefineConfig(convergence_tol=tol)
     # an infinite delta used to fail later, as weights that sum to infinity
     for delta in (math.inf, math.nan):
         with pytest.raises(ValueError):
