@@ -13,14 +13,14 @@ import sys
 
 from .correspondence import CorrespondenceSet, WeightVector
 from .errors import RegistrationError, RegistrationFailed
-from .evaluation import PRESETS, run_benchmark
+from .evaluation import PRESETS, parse_suite_file, run_benchmark
 from .io import (
     parse_config_file,
-    parse_suite_file,
     pose_json,
     read_ply,
     read_weight_file,
     write_curves_csv,
+    write_pose_json,
     write_report_json,
 )
 from .pipeline import PipelineConfig, register, register_with_correspondences
@@ -85,12 +85,10 @@ def _cmd_register(args) -> int:
     else:
         result = register(source, target, cfg)
 
-    document = pose_json(result)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(document)
+        write_pose_json(result, args.out)
     else:
-        sys.stdout.write(document)
+        sys.stdout.write(pose_json(result))
     reason = f" ({result.fallback_reason})" if result.fallback_reason else ""
     print(
         f"branch={result.branch}{reason} inlier_fraction={result.inlier_fraction:.4f} "

@@ -1,5 +1,5 @@
-"""Pose-error metrics, synthetic scan-pair generation, and a benchmark
-harness with recall reporting.
+"""Pose-error metrics, synthetic scan-pair generation, suite files, and a
+benchmark harness with recall reporting.
 
 Rotation error is the geodesic angle arccos((Tr(R̂ᵀR*) - 1)/2); translation
 error is reported as the Euclidean distance ||t̂ - t*|| (the squared form is
@@ -20,10 +20,12 @@ from typing import Mapping, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .correspondence import CorrespondenceSet
-from .errors import RegistrationError
+from . import io  # readers looked up at call time, so wrappers of them see every read
+from .correspondence import CorrespondenceSet, FeatureConfig
+from .errors import FileFormatError, RegistrationError
 from .geometry import F64, PointCloud, RigidTransform
 from .pipeline import PipelineConfig, register, resolve_weighter
+from .refine import RefineConfig
 from .results import RegistrationResult
 
 # default sweep grids for the recall-vs-threshold curves
@@ -234,6 +236,109 @@ def generate_pair(spec: SyntheticPairSpec) -> SyntheticPair:
 
 
 # ---------------------------------------------------------------------------
+# suite files
+# ---------------------------------------------------------------------------
+
+_SYNTHETIC_KEYS = {
+    "n_points": int,
+    "overlap": float,
+    "noise": float,
+    "outliers": float,
+    "max_rotation": float,
+    "max_translation": float,
+    "seed": int,
+}
+
+
+def parse_suite_file(path):
+    """Parse a benchmark suite: one pair per line.
+
+    ``synthetic key=value ...`` describes a generated pair (keys: n_points,
+    overlap, noise, outliers, max_rotation, max_translation, seed; seed
+    defaults to the pair's position in the suite). ``files source=A
+    target=B pose=GT.json`` references clouds on disk, resolved relative to
+    the suite file; referenced files must exist at parse time.
+    """
+    path = os.fspath(path)
+    base = os.path.dirname(os.path.abspath(path))
+    with open(path, "r", encoding="utf-8") as handle:
+        lines = handle.read().split("\n")
+
+    entries = []
+    for index, line in enumerate(lines):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        where = f"{path}:{index + 1}"
+        tokens = stripped.split()
+        kind, args = tokens[0], tokens[1:]
+        fields = {}
+        for token in args:
+            if "=" not in token:
+                raise FileFormatError(f"{where}: expected key=value, got {token!r}")
+            key, _, value = token.partition("=")
+            if key in fields:
+                raise FileFormatError(f"{where}: duplicate key {key!r}")
+            fields[key] = value
+
+        if kind == "synthetic":
+            kwargs = {"seed": len(entries)}
+            magnitude = [math.pi, 1.0]
+            for key, value in fields.items():
+                if key not in _SYNTHETIC_KEYS:
+                    raise FileFormatError(f"{where}: unknown key {key!r}")
+                try:
+                    parsed = _SYNTHETIC_KEYS[key](value)
+                except ValueError:
+                    raise FileFormatError(
+                        f"{where}: cannot parse {value!r} for {key!r}"
+                    ) from None
+                if key == "overlap":
+                    kwargs["overlap_ratio"] = parsed
+                elif key == "noise":
+                    kwargs["noise_sigma"] = parsed
+                elif key == "outliers":
+                    kwargs["outlier_ratio"] = parsed
+                elif key == "max_rotation":
+                    magnitude[0] = parsed
+                elif key == "max_translation":
+                    magnitude[1] = parsed
+                else:
+                    kwargs[key] = parsed
+            kwargs["transform_magnitude"] = (magnitude[0], magnitude[1])
+            try:
+                entries.append(SyntheticPairSpec(**kwargs))
+            except ValueError as exc:
+                raise FileFormatError(f"{where}: {exc}") from None
+        elif kind == "files":
+            missing = {"source", "target", "pose"} - set(fields)
+            if missing:
+                raise FileFormatError(
+                    f"{where}: missing {', '.join(sorted(missing))}"
+                )
+            extra = set(fields) - {"source", "target", "pose"}
+            if extra:
+                raise FileFormatError(f"{where}: unknown key {sorted(extra)[0]!r}")
+            resolved = {
+                key: os.path.join(base, value) for key, value in fields.items()
+            }
+            for key in ("source", "target", "pose"):
+                if not os.path.isfile(resolved[key]):
+                    raise FileFormatError(
+                        f"{where}: {key} file not found: {resolved[key]}"
+                    )
+            entries.append(
+                FilePairSpec(resolved["source"], resolved["target"], resolved["pose"])
+            )
+        else:
+            raise FileFormatError(f"{where}: unknown pair kind {kind!r}")
+
+    if not entries:
+        raise FileFormatError(f"{path}: suite contains no pairs")
+    return entries
+
+
+# ---------------------------------------------------------------------------
 # benchmark harness
 # ---------------------------------------------------------------------------
 
@@ -286,11 +391,15 @@ def indoor_preset() -> Preset:
 
 
 def outdoor_preset() -> Preset:
-    """Street-scale scans: 30 cm voxels, success within 5 degrees / 60 cm."""
+    """Street-scale scans: every length of :func:`indoor_preset` times 6
+    (30 cm voxels, 1.5 m descriptor radius, 30 cm Huber width), success
+    within 5 degrees / 60 cm."""
     return Preset(
         name="outdoor",
         pipeline=PipelineConfig(
+            feature=FeatureConfig(radius=1.5),
             voxel_size=0.30,
+            refine=RefineConfig(huber_delta=0.30),
             ransac=None,  # resolves to inlier_threshold = 0.30
         ),
         re_threshold=math.radians(5.0),
@@ -305,11 +414,9 @@ def worker_count() -> int:
     """Parallelism cap from the DGR_THREADS environment variable; 0 or
     unset means the hardware default."""
     raw = os.environ.get("DGR_THREADS", "").strip()
-    if raw in ("", "0"):
-        return os.cpu_count() or 1
-    if not raw.isdecimal():
+    if raw and not raw.isdecimal():
         raise ValueError(f"DGR_THREADS must be a non-negative integer, got {raw!r}")
-    return int(raw)
+    return int(raw or 0) or os.cpu_count() or 1
 
 
 def _materialize(entry):
@@ -318,12 +425,10 @@ def _materialize(entry):
         pair = generate_pair(entry)
         return pair.source, pair.target, pair.transform
     if isinstance(entry, FilePairSpec):
-        from .io import read_ply, read_pose_json  # file formats live in io
-
         return (
-            read_ply(entry.source_path),
-            read_ply(entry.target_path),
-            read_pose_json(entry.pose_path),
+            io.read_ply(entry.source_path),
+            io.read_ply(entry.target_path),
+            io.read_pose_json(entry.pose_path),
         )
     raise TypeError(f"unsupported suite entry {type(entry).__name__}")
 
@@ -383,22 +488,15 @@ def run_benchmark(
         raise ValueError("benchmark suite is empty")
     begin = time.perf_counter()
 
-    workers = min(worker_count(), len(suite))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(
-                pool.map(
-                    lambda item: _run_one(
-                        item[0], item[1], cfg, re_threshold, te_threshold, weighter
-                    ),
-                    enumerate(suite),
-                )
+    with ThreadPoolExecutor(max_workers=min(worker_count(), len(suite))) as pool:
+        outcomes = list(
+            pool.map(
+                lambda item: _run_one(
+                    item[0], item[1], cfg, re_threshold, te_threshold, weighter
+                ),
+                enumerate(suite),
             )
-    else:
-        outcomes = [
-            _run_one(i, entry, cfg, re_threshold, te_threshold, weighter)
-            for i, entry in enumerate(suite)
-        ]
+        )
 
     records = tuple(rec for rec, _ in outcomes)
     stage_totals: dict[str, float] = {}

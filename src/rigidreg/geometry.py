@@ -29,6 +29,7 @@ Mat3: TypeAlias = NDArray[F64]    # (3, 3)
 Vec3: TypeAlias = NDArray[F64]    # (3,)
 
 ORTHONORMALITY_TOL = 1e-9
+_EYE = np.eye(3)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -74,13 +75,28 @@ class PointCloud:
         return PointCloud(self.points, features)
 
 
+def is_rotation(R: np.ndarray) -> NDArray[np.bool_]:
+    """Whether each matrix of a ``(..., 3, 3)`` stack is a proper rotation:
+    finite, ``max |R^T R - I| <= 1e-9`` and ``|det R - 1| <= 1e-9``.
+
+    Non-finite matrices are tested as the identity and then rejected, so
+    the determinant never sees a NaN (it warns on one).
+    """
+    R = np.asarray(R, dtype=np.float64)
+    finite = np.isfinite(R).all(axis=(-2, -1))
+    if not finite.all():
+        R = np.where(finite[..., None, None], R, _EYE)
+    deviation = np.abs(np.swapaxes(R, -1, -2) @ R - _EYE).max(axis=(-2, -1))
+    return (finite & (deviation <= ORTHONORMALITY_TOL)
+            & (np.abs(np.linalg.det(R) - 1.0) <= ORTHONORMALITY_TOL))
+
+
 @dataclass(frozen=True)
 class RigidTransform:
     """A proper rigid motion: rotation ``R`` in SO(3) plus translation ``t``.
 
-    Construction validates orthonormality (``max |R^T R - I| <= 1e-9``) and
-    ``|det R - 1| <= 1e-9``; use :func:`orthonormalize` to repair a drifting
-    matrix first.
+    Construction validates the rotation with :func:`is_rotation`; use
+    :func:`orthonormalize` to repair a drifting matrix first.
     """
 
     rotation: Mat3
@@ -91,14 +107,10 @@ class RigidTransform:
         t = np.asarray(self.translation, dtype=np.float64).reshape(3)
         if R.shape != (3, 3):
             raise ValueError(f"rotation must be 3x3, got {R.shape}")
-        if not (np.all(np.isfinite(R)) and np.all(np.isfinite(t))):
-            raise NotARotation("transform contains non-finite entries")
-        err = np.abs(R.T @ R - np.eye(3)).max()
-        if err > ORTHONORMALITY_TOL:
-            raise NotARotation(f"rotation is not orthonormal (max deviation {err:.3e})")
-        det = float(np.linalg.det(R))
-        if abs(det - 1.0) > ORTHONORMALITY_TOL:
-            raise NotARotation(f"rotation has determinant {det!r}, expected +1")
+        if not is_rotation(R):
+            raise NotARotation("rotation is not a proper rotation matrix")
+        if not np.all(np.isfinite(t)):
+            raise NotARotation("translation contains non-finite entries")
         object.__setattr__(self, "rotation", _readonly(R))
         object.__setattr__(self, "translation", _readonly(t))
 
@@ -144,7 +156,7 @@ def compose(first: RigidTransform, second: RigidTransform) -> RigidTransform:
     """
     R = first.rotation @ second.rotation
     t = first.rotation @ second.translation + first.translation
-    if np.abs(R.T @ R - np.eye(3)).max() > ORTHONORMALITY_TOL:
+    if not is_rotation(R):
         R = orthonormalize(R)
     return RigidTransform(R, t)
 
@@ -199,10 +211,8 @@ class SpatialIndex:
     def query(self, queries: np.ndarray) -> tuple[NDArray[np.int64], NDArray[F64]]:
         """Nearest stored index and distance for each query row."""
         q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        k = min(2, self.size)
-        dist, idx = self._tree.query(q, k=k)
-        if k == 1:
-            return idx.astype(np.int64).reshape(-1), np.asarray(dist).reshape(-1)
+        # with one stored vector the second neighbor is at inf, never a tie
+        dist, idx = self._tree.query(q, k=2)
         d1 = dist[:, 0].copy()
         best = idx[:, 0].astype(np.int64)
         # A second neighbor at the same distance signals a tie; re-resolve
@@ -223,9 +233,5 @@ class SpatialIndex:
         With a single stored vector the second distance is ``inf``.
         """
         q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        if self.size == 1:
-            dist, _ = self._tree.query(q, k=1)
-            d1 = np.asarray(dist).reshape(-1)
-            return d1, np.full_like(d1, np.inf)
         dist, _ = self._tree.query(q, k=2)
         return dist[:, 0].copy(), dist[:, 1].copy()

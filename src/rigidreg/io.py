@@ -1,5 +1,8 @@
-"""File formats: PLY clouds, weight files, config files, suite files, pose
-JSON, and benchmark reports.
+"""File formats: PLY clouds, weight files, config files, pose JSON, and
+benchmark reports. Suite files are parsed by
+:func:`evaluation.parse_suite_file`, next to the pair specs they build;
+this module imports :mod:`evaluation` for type hints only, so the
+package's imports form no cycle.
 
 Every parser rejects malformed input with an error that names the file and
 the offending line (or byte offset for binary data); there is no partial
@@ -14,15 +17,17 @@ import json
 import math
 import os
 from dataclasses import fields, is_dataclass, replace
-from typing import BinaryIO
+from typing import TYPE_CHECKING, BinaryIO
 
 import numpy as np
 
 from .errors import FileFormatError, NotARotation, UnsupportedFormat
-from .evaluation import BenchmarkReport, FilePairSpec, SyntheticPairSpec
 from .geometry import PointCloud, RigidTransform
 from .pipeline import PipelineConfig
 from .results import RegistrationResult
+
+if TYPE_CHECKING:
+    from .evaluation import BenchmarkReport
 
 # ---------------------------------------------------------------------------
 # PLY
@@ -409,109 +414,6 @@ def parse_config_file(path, base: PipelineConfig = PipelineConfig()) -> Pipeline
         return replace(pipeline, **blocks)
     except ValueError as exc:
         raise FileFormatError(f"{path}: invalid configuration: {exc}") from None
-
-
-# ---------------------------------------------------------------------------
-# suite files
-# ---------------------------------------------------------------------------
-
-_SYNTHETIC_KEYS = {
-    "n_points": int,
-    "overlap": float,
-    "noise": float,
-    "outliers": float,
-    "max_rotation": float,
-    "max_translation": float,
-    "seed": int,
-}
-
-
-def parse_suite_file(path):
-    """Parse a benchmark suite: one pair per line.
-
-    ``synthetic key=value ...`` describes a generated pair (keys: n_points,
-    overlap, noise, outliers, max_rotation, max_translation, seed; seed
-    defaults to the pair's position in the suite). ``files source=A
-    target=B pose=GT.json`` references clouds on disk, resolved relative to
-    the suite file; referenced files must exist at parse time.
-    """
-    path = os.fspath(path)
-    base = os.path.dirname(os.path.abspath(path))
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().split("\n")
-
-    entries = []
-    for index, line in enumerate(lines):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        where = f"{path}:{index + 1}"
-        tokens = stripped.split()
-        kind, args = tokens[0], tokens[1:]
-        fields = {}
-        for token in args:
-            if "=" not in token:
-                raise FileFormatError(f"{where}: expected key=value, got {token!r}")
-            key, _, value = token.partition("=")
-            if key in fields:
-                raise FileFormatError(f"{where}: duplicate key {key!r}")
-            fields[key] = value
-
-        if kind == "synthetic":
-            kwargs = {"seed": len(entries)}
-            magnitude = [math.pi, 1.0]
-            for key, value in fields.items():
-                if key not in _SYNTHETIC_KEYS:
-                    raise FileFormatError(f"{where}: unknown key {key!r}")
-                try:
-                    parsed = _SYNTHETIC_KEYS[key](value)
-                except ValueError:
-                    raise FileFormatError(
-                        f"{where}: cannot parse {value!r} for {key!r}"
-                    ) from None
-                if key == "overlap":
-                    kwargs["overlap_ratio"] = parsed
-                elif key == "noise":
-                    kwargs["noise_sigma"] = parsed
-                elif key == "outliers":
-                    kwargs["outlier_ratio"] = parsed
-                elif key == "max_rotation":
-                    magnitude[0] = parsed
-                elif key == "max_translation":
-                    magnitude[1] = parsed
-                else:
-                    kwargs[key] = parsed
-            kwargs["transform_magnitude"] = (magnitude[0], magnitude[1])
-            try:
-                entries.append(SyntheticPairSpec(**kwargs))
-            except ValueError as exc:
-                raise FileFormatError(f"{where}: {exc}") from None
-        elif kind == "files":
-            missing = {"source", "target", "pose"} - set(fields)
-            if missing:
-                raise FileFormatError(
-                    f"{where}: missing {', '.join(sorted(missing))}"
-                )
-            extra = set(fields) - {"source", "target", "pose"}
-            if extra:
-                raise FileFormatError(f"{where}: unknown key {sorted(extra)[0]!r}")
-            resolved = {
-                key: os.path.join(base, value) for key, value in fields.items()
-            }
-            for key in ("source", "target", "pose"):
-                if not os.path.isfile(resolved[key]):
-                    raise FileFormatError(
-                        f"{where}: {key} file not found: {resolved[key]}"
-                    )
-            entries.append(
-                FilePairSpec(resolved["source"], resolved["target"], resolved["pose"])
-            )
-        else:
-            raise FileFormatError(f"{where}: unknown pair kind {kind!r}")
-
-    if not entries:
-        raise FileFormatError(f"{path}: suite contains no pairs")
-    return entries
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,12 @@ S = diag(1, 1, det(U)det(V)) flips the smallest singular direction when the
 unconstrained optimum would be a reflection.
 
 :func:`solve_stacked` evaluates this on a stack of problems at once and is
-the one closed-form kernel of the package. :func:`checked_fit` is its
-checked single-problem form, which refinement fits through; :func:`solve`
-(the main branch and the final RANSAC refit) wraps its pose in a
-:class:`RigidTransform`; RANSAC's blocks of minimal samples call the kernel
-directly.
+the one closed-form kernel of the package; RANSAC's blocks of minimal
+samples call it directly. :func:`solve` is its checked single-problem form,
+which the main branch, every refinement step and the final RANSAC refit go
+through. Both return a :class:`ProcrustesSolution`: the pose, the SVD
+factors, the signs S and the centroids, which :func:`grad_weights` reuses,
+and ``.transform``, the pose as a checked :class:`RigidTransform`.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .errors import (
     TooFewCorrespondences,
     WeightLengthMismatch,
 )
-from .geometry import F64, Mat3, RigidTransform, Vec3
+from .geometry import F64, RigidTransform
 
 # rank test: rotation is underdetermined when the weighted points are
 # collinear or coincident, i.e. the second singular value vanishes
@@ -75,23 +76,6 @@ class NormalizedWeights:
         object.__setattr__(self, "w_tilde", w)
 
 
-@dataclass(frozen=True)
-class ProcrustesSolution:
-    """Solver output plus the factorization it came from.
-
-    The SVD factors and weighted centroids are retained so the weight
-    gradient reuses the exact decomposition that produced the transform.
-    """
-
-    transform: RigidTransform
-    cross_covariance: Mat3
-    svd_u: Mat3
-    svd_s: Vec3
-    svd_vt: Mat3
-    centroid_source: Vec3
-    centroid_target: Vec3
-
-
 def prefilter(weights: WeightVector, tau: float) -> WeightVector:
     """phi(w) = I[w > tau] * w elementwise: weights <= tau become 0 (strict
     survival test), the rest are kept as they are."""
@@ -113,14 +97,18 @@ def normalize_weights(weights: WeightVector, tau: float) -> NormalizedWeights:
     return NormalizedWeights(phi / total, total)
 
 
-class StackedSolution(NamedTuple):
-    """Closed-form fits of a stack of problems, one entry per problem.
+class ProcrustesSolution(NamedTuple):
+    """Closed-form fit of one problem, or of a stack of problems with one
+    entry per problem.
 
-    Shapes follow the stack's leading dimensions ``...``: ``rotation``,
-    ``cross_covariance``, ``svd_u`` and ``svd_vt`` are ``(..., 3, 3)``;
-    ``translation``, ``svd_s`` and the centroids are ``(..., 3)``;
-    ``rank_deficient`` is ``(...)`` and flags the problems whose rotation is
-    underdetermined (their ``rotation`` is meaningless).
+    Shapes follow the stack's leading dimensions ``...`` (none for one
+    problem): ``rotation``, ``cross_covariance``, ``svd_u`` and ``svd_vt``
+    are ``(..., 3, 3)``; ``translation``, ``svd_s``, ``signs`` (the
+    diagonal of S) and the centroids are ``(..., 3)``; ``rank_deficient``
+    is ``(...)`` and flags the problems whose rotation is underdetermined
+    (their ``rotation`` is meaningless). The SVD factors and centroids are
+    kept so the weight gradient reuses the exact decomposition that
+    produced the pose.
     """
 
     rotation: NDArray[F64]
@@ -129,19 +117,26 @@ class StackedSolution(NamedTuple):
     svd_u: NDArray[F64]
     svd_s: NDArray[F64]
     svd_vt: NDArray[F64]
+    signs: NDArray[F64]
     centroid_source: NDArray[F64]
     centroid_target: NDArray[F64]
     rank_deficient: NDArray[np.bool_]
+
+    @property
+    def transform(self) -> RigidTransform:
+        """The pose of a single problem; raises NotARotation when the
+        rotation is not a proper rotation."""
+        return RigidTransform(self.rotation, self.translation)
 
 
 def solve_stacked(
     source_points: np.ndarray,
     target_points: np.ndarray,
     w_tilde: np.ndarray,
-) -> StackedSolution:
+) -> ProcrustesSolution:
     """Weighted closed-form fit of every problem in a stack: points
     ``(..., K, 3)``, normalized weights ``(..., K)``. Inputs are not
-    checked; :func:`checked_fit` is the checked single-problem form.
+    checked; :func:`solve` is the checked single-problem form.
 
     Each problem's result is bit for bit the one the same problem gets
     alone, since every product is a matmul over the trailing dimensions.
@@ -162,32 +157,35 @@ def solve_stacked(
     signs = np.where(proper[..., None], 1.0, _REFLECT)
     R = (U * signs[..., None, :]) @ Vt
     t = centroid_y - (R @ centroid_x[..., :, None])[..., 0]
-    return StackedSolution(
+    return ProcrustesSolution(
         rotation=R,
         translation=t,
         cross_covariance=cross,
         svd_u=U,
         svd_s=sigma,
         svd_vt=Vt,
+        signs=signs,
         centroid_source=centroid_x,
         centroid_target=centroid_y,
         rank_deficient=rank_deficient,
     )
 
 
-def checked_fit(
+def solve(
     source_points: np.ndarray,
     target_points: np.ndarray,
     weights: NormalizedWeights,
-) -> StackedSolution:
-    """:func:`solve_stacked` on one problem, behind the checks every
-    single-problem fit makes: matched lists and weights of one length, at
-    least 3 positive weights, and a rotation that is determined.
+) -> ProcrustesSolution:
+    """Best rigid transform mapping matched source points onto targets under
+    the given normalized weights (global minimizer of the weighted squared
+    error): :func:`solve_stacked` on one problem, behind the checks every
+    single-problem fit makes. The matched lists and weights must share one
+    length, at least 3 weights must be positive and the rotation must be
+    determined.
 
     Raises LengthMismatch, WeightLengthMismatch, TooFewCorrespondences or
-    DegenerateConfiguration. The rotation is not tested for orthonormality;
-    callers that keep it build a :class:`RigidTransform` or a 6D rotation,
-    which do.
+    DegenerateConfiguration. The rotation is tested for being proper only
+    when it is read as ``.transform`` or as a 6D rotation.
     """
     X = np.asarray(source_points, dtype=np.float64).reshape(-1, 3)
     Y = np.asarray(target_points, dtype=np.float64).reshape(-1, 3)
@@ -211,26 +209,6 @@ def checked_fit(
             "weighted points are (near-)collinear; rotation underdetermined"
         )
     return fit
-
-
-def solve(
-    source_points: np.ndarray,
-    target_points: np.ndarray,
-    weights: NormalizedWeights,
-) -> ProcrustesSolution:
-    """Best rigid transform mapping matched source points onto targets under
-    the given normalized weights (global minimizer of the weighted squared
-    error)."""
-    fit = checked_fit(source_points, target_points, weights)
-    return ProcrustesSolution(
-        transform=RigidTransform(fit.rotation, fit.translation),
-        cross_covariance=fit.cross_covariance,
-        svd_u=fit.svd_u,
-        svd_s=fit.svd_s,
-        svd_vt=fit.svd_vt,
-        centroid_source=fit.centroid_source,
-        centroid_target=fit.centroid_target,
-    )
 
 
 def grad_weights(
@@ -268,7 +246,7 @@ def grad_weights(
             "singular values too close for a stable SVD derivative"
         )
 
-    R = solution.transform.rotation
+    R = solution.rotation
     x_bar = solution.centroid_source
     y_bar = solution.centroid_target
 
@@ -281,8 +259,7 @@ def grad_weights(
     #              / (σ_j² - σ_i²),
     # where H = Uᵀ G_eff V and s holds the diagonal of S. The diagonal of B
     # only moves the singular values, which R̂ does not depend on.
-    flip = 1.0 if np.linalg.det(U) * np.linalg.det(Vt) > 0 else -1.0
-    s = np.array([1.0, 1.0, flip])
+    s = solution.signs
     H = U.T @ G_eff @ Vt.T
     B = np.zeros((3, 3))
     for i in range(3):

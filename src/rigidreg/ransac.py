@@ -5,7 +5,7 @@ surviving correspondence weight is too small or the solver reported a
 degeneracy. Hypotheses are rigid fits to 3 sampled pairs, scored by inlier
 count under a distance threshold (ties by lower RMS on the inliers, then by
 earlier hypothesis). The winning consensus set gets one final unweighted
-refit.
+refit through :func:`procrustes.solve`.
 
 The putative matches are first ranked by spectral compatibility (Leordeanu &
 Hebert, ICCV 2005): the leading eigenvector of the length-compatibility
@@ -27,7 +27,8 @@ once from the seeded generator, one uniform variate per sample member, so
 the samples depend on the draw index alone and not on the block sizes;
 draws past the stopping point are never read. The whole block is then
 tested for collinear samples, fitted by one call of the stacked closed-form
-kernel (:func:`procrustes.solve_stacked`), checked for proper rotations and
+kernel (:func:`procrustes.solve_stacked`), checked for proper rotations by
+:func:`geometry.is_rotation` (the test :class:`RigidTransform` makes) and
 scored against every pair. A walk over the block in draw order applies the
 sequential rules: the draw counter and cap, degenerate samples that consume
 no hypothesis, count-then-RMS tie-breaking and the stopping rule. Blocks
@@ -51,7 +52,7 @@ from .errors import (
     NoConsensus,
     TooFewCorrespondences,
 )
-from .geometry import ORTHONORMALITY_TOL, PointCloud, RigidTransform
+from .geometry import PointCloud, RigidTransform, is_rotation
 from .procrustes import NormalizedWeights, prefilter, solve, solve_stacked
 from .results import SAFEGUARD_BRANCH, RegistrationResult
 
@@ -261,11 +262,7 @@ def _evaluate(Xm: np.ndarray, Ym: np.ndarray, samples: np.ndarray,
 
     # the checks RigidTransform makes on construction, for every fit at once
     R, t = fit.rotation, fit.translation
-    finite = np.isfinite(R).all(axis=(1, 2)) & np.isfinite(t).all(axis=1)
-    deviation = np.abs(np.swapaxes(R, 1, 2) @ R - np.eye(3)).max(axis=(1, 2))
-    det = np.linalg.det(R)
-    proper = (finite & ~(deviation > ORTHONORMALITY_TOL)
-              & ~(np.abs(det - 1.0) > ORTHONORMALITY_TOL))
+    proper = is_rotation(R) & np.isfinite(t).all(axis=1)
 
     scored = np.flatnonzero(~degenerate & proper)
     column = np.full(len(samples), -1)

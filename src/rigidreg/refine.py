@@ -14,7 +14,7 @@ they nor :func:`refine` read a threshold: the caller prefilters, and a
 pair is active exactly when its weight is positive.
 
 Refinement minimizes that energy by iteratively reweighted least squares:
-every step is one weighted closed-form fit (:func:`procrustes.checked_fit`)
+every step is one weighted closed-form fit (:func:`procrustes.solve`)
 with Huber weights w_i * min(1, delta / r_i), a majorize-minimize scheme
 whose recorded energy sequence never increases. Weights are fixed for the
 whole run; correspondences are never re-matched. The loop gathers the
@@ -22,8 +22,9 @@ active pairs once and computes the residuals once per step: those that
 score a step are the ones the next step's weights need. On a 2-vCPU Intel
 Xeon VM, refining the 60 first pairs of the benchmark's ``outlier_default``
 pool (about 21 steps each) took 6.8-8.3 ms per pair, against 16.7-19.5 ms
-when every step called :func:`energy` and :func:`procrustes.solve`; the
-poses and traces are bit-identical.
+when every step scored its pose through :func:`energy`, which gathers the
+pairs anew, and built it as a checked :class:`RigidTransform`; the poses
+and traces are bit-identical.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ from numpy.typing import NDArray
 
 from .correspondence import CorrespondenceSet, WeightVector
 from .errors import DegenerateRepresentation, NoActiveCorrespondences, NotARotation
-from .geometry import F64, ORTHONORMALITY_TOL, Mat3, PointCloud, RigidTransform, Vec3
-from .procrustes import NormalizedWeights, checked_fit
+from .geometry import F64, Mat3, PointCloud, RigidTransform, Vec3, is_rotation
+from .procrustes import NormalizedWeights, solve
 
 _PARALLEL_TOL = 1e-12
 
@@ -120,11 +121,8 @@ def rot6d_to_matrix(a: Rot6D) -> Mat3:
 def matrix_to_rot6d(R: np.ndarray) -> Rot6D:
     """Drop the third column; the first two determine the rotation."""
     R = np.asarray(R, dtype=np.float64)
-    if R.shape != (3, 3) or not np.all(np.isfinite(R)):
-        raise NotARotation("expected a finite 3x3 matrix")
-    if (np.abs(R.T @ R - np.eye(3)).max() > ORTHONORMALITY_TOL
-            or abs(np.linalg.det(R) - 1.0) > ORTHONORMALITY_TOL):
-        raise NotARotation("matrix is not a proper rotation")
+    if R.shape != (3, 3) or not is_rotation(R):
+        raise NotARotation("expected a proper 3x3 rotation matrix")
     return Rot6D(R[:, 0].copy(), R[:, 1].copy())
 
 
@@ -273,7 +271,7 @@ def refine(
         iterations += 1
         v = wa * (delta / np.maximum(r, delta))
         total = float(v.sum())
-        step = checked_fit(Xa, Ya, NormalizedWeights(v / total, total))
+        step = solve(Xa, Ya, NormalizedWeights(v / total, total))
         # score the rotation as the 6D map rebuilds it; matrix_to_rot6d is
         # the step's one rotation check
         candidate_R = rot6d_to_matrix(matrix_to_rot6d(step.rotation))

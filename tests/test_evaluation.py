@@ -1,11 +1,13 @@
 """Error metrics, synthetic pair generation, and the benchmark harness."""
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+import rigidreg.io
 from rigidreg import (
     FilePairSpec,
     PairMetrics,
@@ -19,6 +21,7 @@ from rigidreg import (
     indoor_preset,
     outdoor_preset,
     pair_metrics,
+    register,
     rotation_error,
     run_benchmark,
     translation_error,
@@ -196,6 +199,40 @@ def test_outdoor_preset_values():
     assert p.te_threshold == 0.60
 
 
+def test_outdoor_preset_is_indoor_scaled_by_six():
+    indoor = indoor_preset().pipeline
+    outdoor = outdoor_preset().pipeline
+    lengths = [
+        ("voxel_size", indoor.voxel_size, outdoor.voxel_size),
+        ("feature.radius", indoor.feature.radius, outdoor.feature.radius),
+        ("refine.huber_delta", indoor.refine.huber_delta, outdoor.refine.huber_delta),
+        ("ransac.inlier_threshold", indoor.ransac.inlier_threshold,
+         outdoor.ransac.inlier_threshold),
+    ]
+    for name, small, large in lengths:
+        assert math.isclose(large, 6.0 * small, rel_tol=1e-12), name
+    # every other setting is indoor's
+    assert dataclasses.replace(outdoor.feature, radius=indoor.feature.radius) == indoor.feature
+    assert dataclasses.replace(outdoor.refine, huber_delta=indoor.refine.huber_delta) == indoor.refine
+    assert (dataclasses.replace(outdoor.ransac, inlier_threshold=indoor.ransac.inlier_threshold)
+            == indoor.ransac)
+    assert dataclasses.replace(outdoor, voxel_size=indoor.voxel_size, feature=indoor.feature,
+                               refine=indoor.refine, ransac=indoor.ransac) == indoor
+
+
+def test_outdoor_preset_registers_pairs_scaled_by_six():
+    preset = outdoor_preset()
+    for seed in range(6):
+        pair = generate_pair(SyntheticPairSpec(n_points=1000, overlap_ratio=0.9,
+                                               noise_sigma=0.005, seed=seed))
+        truth = RigidTransform(pair.transform.rotation, 6.0 * pair.transform.translation)
+        result = register(PointCloud(6.0 * pair.source.points),
+                          PointCloud(6.0 * pair.target.points), preset.pipeline)
+        metrics = pair_metrics(result.transform, truth, preset.re_threshold,
+                               preset.te_threshold)
+        assert metrics.success, (seed, math.degrees(metrics.re), metrics.te)
+
+
 def test_presets_mapping():
     assert set(PRESETS) == {"indoor", "outdoor"}
     assert isinstance(PRESETS["indoor"](), Preset)
@@ -206,6 +243,8 @@ def test_worker_count_env(monkeypatch):
     default = worker_count()
     assert default >= 1
     monkeypatch.setenv("DGR_THREADS", "0")
+    assert worker_count() == default
+    monkeypatch.setenv("DGR_THREADS", "00")
     assert worker_count() == default
     monkeypatch.setenv("DGR_THREADS", "3")
     assert worker_count() == 3
@@ -340,6 +379,30 @@ def test_run_benchmark_file_pairs_and_failure_rows(tmp_path, patch_cloud):
     assert not bad.success and bad.error == "EmptyCloud"
     assert bad.re is None and bad.te is None and bad.branch is None
     assert rep.mean_re == good.re  # means are over successes only
+
+
+def test_run_benchmark_reads_file_pairs_through_io(tmp_path, patch_cloud, monkeypatch):
+    # the suite runner looks the readers up on rigidreg.io at call time, so
+    # a wrapper installed there sees every read
+    cloud = tmp_path / "cloud.ply"
+    pose = tmp_path / "identity.json"
+    write_ply(patch_cloud, cloud)
+    pose.write_text(json.dumps({
+        "rotation": [1, 0, 0, 0, 1, 0, 0, 0, 1],
+        "translation": [0, 0, 0],
+    }))
+    reads = []
+    original = rigidreg.io.read_ply
+
+    def counted(path):
+        reads.append(path)
+        return original(path)
+
+    monkeypatch.setattr(rigidreg.io, "read_ply", counted)
+    suite = [FilePairSpec(str(cloud), str(cloud), str(pose))] * 3
+    rep = run_benchmark(suite, PipelineConfig(), math.radians(15.0), 0.30)
+    assert rep.recall == 1.0
+    assert reads == [str(cloud)] * 6  # 2 reads per pair
 
 
 @pytest.mark.parametrize("problem, error", [

@@ -1,6 +1,7 @@
 """Transforms, voxel downsampling, and the exact nearest-neighbor index."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from rigidreg import (
     orthonormalize,
     voxel_downsample,
 )
+from rigidreg.geometry import is_rotation
+
 from _oracles import nearest_bruteforce, nearest_linear, occupied_voxel_count, rodrigues, rot_z
 
 
@@ -45,6 +48,27 @@ def test_rigid_transform_rejects_non_rotations():
         RigidTransform(mirror, np.zeros(3))
     with pytest.raises(NotARotation):
         RigidTransform(np.full((3, 3), np.nan), np.zeros(3))
+
+
+def test_is_rotation_tests_a_stack_without_warnings(rng):
+    good = rodrigues(rng.normal(size=3), 0.7)
+    stack = np.stack([
+        good,
+        good * (1.0 + 1e-8),
+        np.diag([1.0, 1.0, -1.0]),
+        np.full((3, 3), np.nan),
+        np.where(np.eye(3) > 0, np.inf, 0.0),
+        good,
+    ])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # det warns on NaN input
+        proper = is_rotation(stack)
+    assert proper.tolist() == [True, False, False, False, False, True]
+    assert is_rotation(good) and not is_rotation(stack[3])
+    for R, ok in zip(stack, proper):
+        if not ok:
+            with pytest.raises(NotARotation, match="rotation"):
+                RigidTransform(R, np.zeros(3))
 
 
 def test_rigid_transform_inverse_and_matrix4(rng):
@@ -229,6 +253,9 @@ def test_index_collinear_example():
     pts = np.array([[0.0, 0, 0], [1.0, 0, 0], [3.0, 0, 0]])
     idx, _ = SpatialIndex(pts).query(np.array([1.9, 0.0, 0.0]))
     assert idx[0] == 1
+    # one stored vector: the missing second neighbor is no tie
+    idx, dist = SpatialIndex(pts[2:]).query(np.array([1.9, 0.0, 0.0]))
+    assert idx.tolist() == [0] and abs(dist[0] - 1.1) < 1e-12
 
 
 def test_index_matches_linear_scan(rng):

@@ -1,10 +1,12 @@
 """End-to-end registration: branch selection, diversion reasons, timings."""
 
+import ast
 import inspect
 import math
 import os
 import subprocess
 import sys
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +76,50 @@ def test_import_leaves_scipy_stats_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": path})
     assert out.stdout.strip() == "False"
+
+
+def _package_imports(path: Path, modules: set[str]) -> set[str]:
+    """Modules of the package that a module imports, at module or function
+    level; imports under ``if TYPE_CHECKING:`` never run and are skipped.
+    Importing a name that is not a module imports the package itself."""
+    found = set()
+
+    def visit(node):
+        if isinstance(node, ast.If) and getattr(node.test, "id", None) == "TYPE_CHECKING":
+            for child in node.orelse:
+                visit(child)
+            return
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0 and module.split(".")[0] == "rigidreg":
+                module = module.partition(".")[2]
+            elif node.level != 1:
+                return  # outside the package
+            if module:
+                found.add(module.split(".")[0])
+            else:
+                found.update(a.name if a.name in modules else "__init__" for a in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "rigidreg":
+                    found.add(parts[1] if len(parts) > 1 else "__init__")
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")))
+    return found
+
+
+def test_package_imports_form_no_cycle():
+    package = Path(rigidreg.__file__).resolve().parent
+    paths = {path.stem: path for path in package.glob("*.py")}
+    graph = {name: _package_imports(path, set(paths)) for name, path in paths.items()}
+    assert graph["__init__"] >= set(paths) - {"__init__", "cli"}
+    try:
+        TopologicalSorter(graph).prepare()
+    except CycleError as exc:
+        pytest.fail(f"import cycle: {' -> '.join(exc.args[1])}")
 
 
 def test_config_validation():

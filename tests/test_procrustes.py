@@ -163,6 +163,8 @@ def test_solve_never_returns_reflection(rng):
     sol = solve(X, Y, _uniform(15))
     flip = np.linalg.det(sol.svd_u) * np.linalg.det(sol.svd_vt)
     assert flip < 0  # the branch actually fired
+    assert sol.signs.tolist() == [1.0, 1.0, -1.0]  # the diagonal of S
+    np.testing.assert_array_equal(sol.rotation, (sol.svd_u * sol.signs) @ sol.svd_vt)
     assert abs(np.linalg.det(sol.transform.rotation) - 1.0) < 1e-9
 
 
@@ -234,6 +236,7 @@ def test_stacked_kernel_slices_equal_single_solves(shape, rng):
         np.testing.assert_array_equal(fit.svd_u[k], sol.svd_u)
         np.testing.assert_array_equal(fit.svd_s[k], sol.svd_s)
         np.testing.assert_array_equal(fit.svd_vt[k], sol.svd_vt)
+        np.testing.assert_array_equal(fit.signs[k], sol.signs)
         np.testing.assert_array_equal(fit.centroid_source[k], sol.centroid_source)
         np.testing.assert_array_equal(fit.centroid_target[k], sol.centroid_target)
 
