@@ -152,52 +152,61 @@ def _normalize_rows(a: np.ndarray) -> np.ndarray:
 
 def _local_histogram(points: np.ndarray, radius: float, bins: int) -> np.ndarray:
     n = points.shape[0]
-    tree = cKDTree(points)
-    pair_idx = tree.query_pairs(radius, output_type="ndarray")
-    a = pair_idx[:, 0]
-    b = pair_idx[:, 1]
-    e = a.shape[0]
+    pairs = cKDTree(points).query_pairs(radius, output_type="ndarray")
+    e = pairs.shape[0]
+    # Every neighborhood sum runs over one stream of (owner, partner)
+    # entries: each point with itself, then each pair both ways. a and b are
+    # contiguous views into the owner side, so gathers through them are fast.
+    # A column of per-point values is gathered into one reused stream
+    # buffer. The indices are always in range, so mode="clip" never moves
+    # one; it is there because the default mode="raise" gathers into a
+    # hidden stream-sized temporary before copying it into out.
+    owner = np.concatenate([np.arange(n), pairs[:, 0], pairs[:, 1]])
+    a, b = owner[n:n + e], owner[n + e:]
+    del pairs
+    stream = np.empty(n + 2 * e)
 
-    # Every neighborhood sum is one bincount over a stream of (owner,
-    # partner) entries: each point with itself, then each pair both ways.
-    # A weighted bincount adds a bin's entries in stream order, starting
-    # from 0.0. Feeding each bin its own point first, then its partners in
-    # pair order (through a, then through b), keeps every sum bit-identical
-    # to starting from the point's value and adding the pairs one by one;
-    # reorder the stream and the descriptor changes in its last bits.
-    self_idx = np.arange(n)
-    owner = np.concatenate([self_idx, a, b])
-    partner = np.concatenate([self_idx, b, a])
-    coords = np.take(np.ascontiguousarray(points.T), partner, axis=1)  # 3 planes
+    def neighborhood_sum(column: np.ndarray) -> np.ndarray:
+        stream[:n] = column
+        np.take(column, b, out=stream[n:n + e], mode="clip")
+        np.take(column, a, out=stream[n + e:], mode="clip")
+        return np.bincount(owner, weights=stream, minlength=n)
 
-    # distance histogram; the query point itself occupies bin 0, so the
-    # histogram never comes back empty and the normalization below is
-    # well defined. Pair-sized temporaries are reused or freed once spent,
-    # which keeps peak memory low on dense clouds.
-    sq = coords[:, n + e:] - coords[:, n:n + e]  # points[a] - points[b]
-    np.multiply(sq, sq, out=sq)
-    d = np.sqrt(sq[0] + sq[1] + sq[2])
-    del sq
-    slot = np.minimum((d / radius * bins).astype(np.int64), bins - 1)
-    key = np.multiply(owner, bins, out=partner)
+    # neighborhood first and second moments for the covariance eigenvalues.
+    # These float sums depend on the order of their terms: a weighted
+    # bincount adds a bin's entries in stream order, starting from 0.0, so
+    # feeding each bin its own point first, then its partners in pair order
+    # (through a, then through b), keeps every sum bit-identical to starting
+    # from the point's value and adding the pairs one by one; reorder the
+    # stream and the descriptor changes in its last bits. Each first-moment
+    # pass leaves points[a] and points[b] of one coordinate in the stream,
+    # and the squared pair distances are summed from them, x, y, then z.
+    planes = np.ascontiguousarray(points.T)
+    first = np.empty((n, 3), dtype=np.float64)
+    d = np.zeros(e)
+    for i, plane in enumerate(planes):
+        first[:, i] = neighborhood_sum(plane)
+        diff = stream[n + e:]
+        diff -= stream[n:n + e]
+        d += np.square(diff, out=diff)
+    second = np.empty((n, 3, 3), dtype=np.float64)
+    for i in range(3):
+        for j in range(i, 3):
+            second[:, i, j] = second[:, j, i] = neighborhood_sum(planes[i] * planes[j])
+    del stream, diff
+
+    # distance histogram and neighbor count: integer sums, exact in any
+    # order. The query point itself occupies bin 0, so the histogram never
+    # comes back empty and the normalization below is well defined. Spent
+    # pair-sized arrays are freed or overwritten, which keeps peak memory
+    # low on dense clouds.
+    slot = np.minimum((np.sqrt(d, out=d) / radius * bins).astype(np.int64), bins - 1)
+    del d
+    key = owner * bins
     key[n:n + e] += slot
     key[n + e:] += slot
     hist = np.bincount(key, minlength=n * bins).reshape(n, bins)
-    del key, partner
-    count = np.bincount(owner, minlength=n)
-
-    # neighborhood first and second moments for the covariance eigenvalues
-    first = np.stack(
-        [np.bincount(owner, weights=c, minlength=n) for c in coords], axis=1
-    )
-    second = np.empty((n, 3, 3), dtype=np.float64)
-    product = np.empty_like(coords[0])
-    for i in range(3):
-        for j in range(i, 3):
-            np.multiply(coords[i], coords[j], out=product)
-            second[:, i, j] = second[:, j, i] = np.bincount(
-                owner, weights=product, minlength=n
-            )
+    count = hist.sum(axis=1)
 
     hist = hist / count[:, None]
     mean = first / count[:, None]

@@ -113,10 +113,10 @@ class SyntheticPairSpec:
             raise ValueError("overlap_ratio must lie in [0, 1]")
         if not 0.0 <= self.outlier_ratio <= 1.0:
             raise ValueError("outlier_ratio must lie in [0, 1]")
-        if self.noise_sigma < 0.0:
-            raise ValueError("noise_sigma must be non-negative")
-        if self.transform_magnitude[0] < 0 or self.transform_magnitude[1] < 0:
-            raise ValueError("transform magnitudes must be non-negative")
+        if not 0.0 <= self.noise_sigma < math.inf:
+            raise ValueError("noise_sigma must be finite and non-negative")
+        if not all(0.0 <= m < math.inf for m in self.transform_magnitude):
+            raise ValueError("transform magnitudes must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -239,14 +239,16 @@ def generate_pair(spec: SyntheticPairSpec) -> SyntheticPair:
 # suite files
 # ---------------------------------------------------------------------------
 
+# suite-file key -> (SyntheticPairSpec field, or a side of its
+# transform_magnitude; parser of the value)
 _SYNTHETIC_KEYS = {
-    "n_points": int,
-    "overlap": float,
-    "noise": float,
-    "outliers": float,
-    "max_rotation": float,
-    "max_translation": float,
-    "seed": int,
+    "n_points": ("n_points", int),
+    "overlap": ("overlap_ratio", float),
+    "noise": ("noise_sigma", float),
+    "outliers": ("outlier_ratio", float),
+    "max_rotation": ("max_rotation", float),
+    "max_translation": ("max_translation", float),
+    "seed": ("seed", int),
 }
 
 
@@ -282,30 +284,19 @@ def parse_suite_file(path):
             fields[key] = value
 
         if kind == "synthetic":
-            kwargs = {"seed": len(entries)}
-            magnitude = [math.pi, 1.0]
+            kwargs = {"seed": len(entries), "max_rotation": math.pi, "max_translation": 1.0}
             for key, value in fields.items():
                 if key not in _SYNTHETIC_KEYS:
                     raise FileFormatError(f"{where}: unknown key {key!r}")
+                name, parse = _SYNTHETIC_KEYS[key]
                 try:
-                    parsed = _SYNTHETIC_KEYS[key](value)
+                    kwargs[name] = parse(value)
                 except ValueError:
                     raise FileFormatError(
                         f"{where}: cannot parse {value!r} for {key!r}"
                     ) from None
-                if key == "overlap":
-                    kwargs["overlap_ratio"] = parsed
-                elif key == "noise":
-                    kwargs["noise_sigma"] = parsed
-                elif key == "outliers":
-                    kwargs["outlier_ratio"] = parsed
-                elif key == "max_rotation":
-                    magnitude[0] = parsed
-                elif key == "max_translation":
-                    magnitude[1] = parsed
-                else:
-                    kwargs[key] = parsed
-            kwargs["transform_magnitude"] = (magnitude[0], magnitude[1])
+            magnitude = (kwargs.pop("max_rotation"), kwargs.pop("max_translation"))
+            kwargs["transform_magnitude"] = magnitude
             try:
                 entries.append(SyntheticPairSpec(**kwargs))
             except ValueError as exc:

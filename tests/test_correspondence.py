@@ -1,6 +1,7 @@
 """Descriptors, matching, inlier labels, and weight providers."""
 
 import math
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -232,6 +233,14 @@ def _fixed_clouds(*points):
     return [PointCloud(np.asarray(p, dtype=np.float64)) for p in points]
 
 
+def _all_neighbour_clouds(n, radius):
+    # points in a unit cube with a radius longer than its diagonal, so every
+    # point pairs with every other: e = n(n - 1)/2
+    points = np.random.default_rng(n).uniform(0.0, 1.0, size=(n, 3))
+    assert radius > math.sqrt(3.0)
+    return [PointCloud(points)]
+
+
 @pytest.mark.parametrize(
     "make_clouds, radius, bins",
     [
@@ -246,6 +255,9 @@ def _fixed_clouds(*points):
         pytest.param(partial(_fixed_clouds, [[0.1, -0.4, 2.0]] * 4), 0.25, 8, id="duplicates"),
         pytest.param(partial(_fixed_clouds, [[0.25 * k, 0.0, 0.0] for k in range(6)]),
                      0.25, 8, id="chain-at-radius"),
+        pytest.param(partial(_all_neighbour_clouds, 300, 2.0), 2.0, 8, id="all-neighbours"),
+        pytest.param(partial(_recipe_clouds, _OUTLIER_RECIPE, 0.05, 5), 0.5, 3,
+                     id="outliers-5-r0.5-b3"),
     ],
 )
 def test_descriptor_matches_add_at_reference(make_clouds, radius, bins):
@@ -253,6 +265,22 @@ def test_descriptor_matches_add_at_reference(make_clouds, radius, bins):
     for cloud in make_clouds():
         expected = _add_at_local_histogram(cloud.points, radius, bins)
         assert np.array_equal(compute_features(cloud, cfg).features, expected)
+
+
+def test_descriptor_memory_stays_bounded():
+    # a dense cloud: about 3.7k points and 0.5M neighbor pairs. The kernel
+    # holds at most a few pair-sized arrays at once, about 21 MB here;
+    # gathering all three coordinate planes over the pair stream would not
+    # fit under the bound
+    cloud = _recipe_clouds(_DENSE_RECIPE, 0.02, 11)[0]
+    cfg = FeatureConfig("local_histogram", radius=0.25, bins=8)
+    tracemalloc.start()
+    try:
+        compute_features(cloud, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -111,6 +111,25 @@ def test_spec_validation():
         SyntheticPairSpec(transform_magnitude=(-1.0, 0.0))
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        pytest.param(dict(noise_sigma=math.nan), id="noise-nan"),
+        pytest.param(dict(noise_sigma=math.inf), id="noise-inf"),
+        pytest.param(dict(noise_sigma=-math.inf), id="noise-minus-inf"),
+        pytest.param(dict(transform_magnitude=(math.nan, 1.0)), id="rotation-nan"),
+        pytest.param(dict(transform_magnitude=(math.inf, 1.0)), id="rotation-inf"),
+        pytest.param(dict(transform_magnitude=(math.pi, math.nan)), id="translation-nan"),
+        pytest.param(dict(transform_magnitude=(math.pi, math.inf)), id="translation-inf"),
+    ],
+)
+def test_spec_rejects_non_finite_recipes(spec):
+    # NaN would pass a "< 0" test and then act as 0; infinity would reach
+    # generate_pair and fail there, outside any per-pair error handling
+    with pytest.raises(ValueError, match="finite"):
+        SyntheticPairSpec(**spec)
+
+
 def test_generate_pair_deterministic():
     spec = SyntheticPairSpec(n_points=120, overlap_ratio=0.7, noise_sigma=0.01,
                              outlier_ratio=0.2, seed=9)

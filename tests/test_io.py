@@ -478,6 +478,14 @@ def test_suite_errors_are_located(tmp_path, content, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize("bad", ["noise=inf", "max_rotation=nan"])
+def test_suite_rejects_non_finite_recipes(tmp_path, bad):
+    path = tmp_path / "suite.txt"
+    path.write_text(f"synthetic n_points=50\nsynthetic n_points=50 {bad}\n")
+    with pytest.raises(FileFormatError, match=r"suite\.txt:2: .*finite"):
+        parse_suite_file(path)
+
+
 def test_suite_missing_referenced_file(tmp_path):
     suite = tmp_path / "suite.txt"
     suite.write_text("files source=a.ply target=b.ply pose=c.json\n")
