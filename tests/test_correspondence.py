@@ -233,12 +233,8 @@ def _fixed_clouds(*points):
     return [PointCloud(np.asarray(p, dtype=np.float64)) for p in points]
 
 
-def _all_neighbour_clouds(n, radius):
-    # points in a unit cube with a radius longer than its diagonal, so every
-    # point pairs with every other: e = n(n - 1)/2
-    points = np.random.default_rng(n).uniform(0.0, 1.0, size=(n, 3))
-    assert radius > math.sqrt(3.0)
-    return [PointCloud(points)]
+def _unit_cube_clouds(n):
+    return [PointCloud(np.random.default_rng(n).uniform(0.0, 1.0, size=(n, 3)))]
 
 
 @pytest.mark.parametrize(
@@ -255,7 +251,9 @@ def _all_neighbour_clouds(n, radius):
         pytest.param(partial(_fixed_clouds, [[0.1, -0.4, 2.0]] * 4), 0.25, 8, id="duplicates"),
         pytest.param(partial(_fixed_clouds, [[0.25 * k, 0.0, 0.0] for k in range(6)]),
                      0.25, 8, id="chain-at-radius"),
-        pytest.param(partial(_all_neighbour_clouds, 300, 2.0), 2.0, 8, id="all-neighbours"),
+        # a radius longer than the cube's diagonal: every point pairs with
+        # every other, e = n(n - 1)/2
+        pytest.param(partial(_unit_cube_clouds, 300), 2.0, 8, id="all-neighbours"),
         pytest.param(partial(_recipe_clouds, _OUTLIER_RECIPE, 0.05, 5), 0.5, 3,
                      id="outliers-5-r0.5-b3"),
     ],
