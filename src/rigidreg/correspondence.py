@@ -25,7 +25,7 @@ from .errors import (
 )
 from .geometry import F64, PointCloud, RigidTransform, SpatialIndex
 
-_DESCRIPTORS = ("raw_xyz", "local_histogram", "precomputed")
+_DESCRIPTORS = ("local_histogram", "precomputed")
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +102,6 @@ class InlierLabels:
 class FeatureConfig:
     """Descriptor choice and its parameters.
 
-    ``raw_xyz`` normalizes each point to a direction vector (3 dims).
     ``local_histogram`` is invariant to translation and rotation: a
     ``bins``-bin histogram of neighbor distances plus the three normalized
     eigenvalues of the neighborhood covariance (``bins + 3`` dims). The
@@ -111,7 +110,8 @@ class FeatureConfig:
     clamped to ``bins - 1``, so a distance equal to ``radius`` goes to the
     last bin; the point itself counts once in bin 0. ``radius`` must be
     finite and positive, ``bins`` an integer of at least 2. ``precomputed``
-    renormalizes features already attached to the cloud.
+    renormalizes features already attached to the cloud, such as learned
+    descriptors.
     """
 
     descriptor: str = "local_histogram"
@@ -128,16 +128,6 @@ class FeatureConfig:
                 raise ValueError(f"bins must be an integer, got {self.bins!r}")
             if self.bins < 2:
                 raise ValueError("bins must be at least 2")
-
-
-def feature_dimension(cfg: FeatureConfig) -> int:
-    """Output dimension of :func:`compute_features` for this config
-    (``precomputed`` keeps whatever dimension the cloud carries)."""
-    if cfg.descriptor == "raw_xyz":
-        return 3
-    if cfg.descriptor == "local_histogram":
-        return cfg.bins + 3
-    raise ValueError("precomputed dimension is defined by the input cloud")
 
 
 # ---------------------------------------------------------------------------
@@ -220,16 +210,11 @@ def _local_histogram(points: np.ndarray, radius: float, bins: int) -> np.ndarray
 
 
 def compute_features(cloud: PointCloud, cfg: FeatureConfig) -> PointCloud:
-    """Attach a unit-norm descriptor to every point.
-
-    Deterministic given inputs. ``raw_xyz`` maps a point at the origin to
-    the zero vector since it has no direction.
-    """
+    """Attach a unit-norm descriptor to every point; deterministic given
+    inputs."""
     if len(cloud) == 0:
         raise EmptyCloud("cannot compute features on an empty cloud")
-    if cfg.descriptor == "raw_xyz":
-        feats = _normalize_rows(cloud.points)
-    elif cfg.descriptor == "local_histogram":
+    if cfg.descriptor == "local_histogram":
         feats = _local_histogram(cloud.points, cfg.radius, cfg.bins)
     else:  # precomputed
         if cloud.features is None:

@@ -2,10 +2,9 @@
 benchmark harness with recall reporting.
 
 Rotation error is the geodesic angle arccos((Tr(R̂ᵀR*) - 1)/2); translation
-error is reported as the Euclidean distance ||t̂ - t*|| (the squared form is
-exposed separately for use as a loss). A pair counts as a success when both
-errors are strictly below their thresholds; mean errors aggregate over the
-successes only, so recall alone reflects the failures.
+error is the Euclidean distance ||t̂ - t*||. A pair counts as a success when
+both errors are strictly below their thresholds; mean errors aggregate over
+the successes only, so recall alone reflects the failures.
 """
 
 from __future__ import annotations
@@ -52,12 +51,6 @@ def rotation_error(r_hat: np.ndarray, r_star: np.ndarray) -> float:
 def translation_error(t_hat: np.ndarray, t_star: np.ndarray) -> float:
     """Euclidean distance between translations, in meters."""
     return float(np.linalg.norm(np.asarray(t_hat, float) - np.asarray(t_star, float)))
-
-
-def translation_error_squared(t_hat: np.ndarray, t_star: np.ndarray) -> float:
-    """Squared distance, the form used as a training-style loss."""
-    d = np.asarray(t_hat, float) - np.asarray(t_star, float)
-    return float(d @ d)
 
 
 @dataclass(frozen=True)

@@ -67,10 +67,6 @@ class PointCloud:
     def __len__(self) -> int:
         return self.points.shape[0]
 
-    @property
-    def has_features(self) -> bool:
-        return self.features is not None
-
     def with_features(self, features: np.ndarray) -> "PointCloud":
         return PointCloud(self.points, features)
 
@@ -126,12 +122,6 @@ class RigidTransform:
         Rt = self.rotation.T
         return RigidTransform(Rt, -(Rt @ self.translation))
 
-    def matrix4(self) -> NDArray[F64]:
-        T = np.eye(4)
-        T[:3, :3] = self.rotation
-        T[:3, 3] = self.translation
-        return T
-
 
 def orthonormalize(R: Mat3) -> Mat3:
     """Project a near-rotation onto the closest orthogonal matrix.
@@ -141,11 +131,6 @@ def orthonormalize(R: Mat3) -> Mat3:
     """
     U, _, Vt = np.linalg.svd(np.asarray(R, dtype=np.float64))
     return U @ Vt
-
-
-def apply_transform(transform: RigidTransform, cloud: PointCloud) -> PointCloud:
-    """Map every point through the rigid motion; features travel unchanged."""
-    return PointCloud(transform.apply(cloud.points), cloud.features)
 
 
 def compose(first: RigidTransform, second: RigidTransform) -> RigidTransform:
@@ -203,10 +188,6 @@ class SpatialIndex:
             raise EmptyCloud("index requires at least one vector")
         self._data = arr
         self._tree = cKDTree(arr)
-
-    @property
-    def size(self) -> int:
-        return self._data.shape[0]
 
     def query(self, queries: np.ndarray) -> tuple[NDArray[np.int64], NDArray[F64]]:
         """Nearest stored index and distance for each query row."""

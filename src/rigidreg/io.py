@@ -255,8 +255,9 @@ def read_weight_file(path):
     """Read a versioned plain-text weight file.
 
     Layout: magic line ``DGRW 1``, then ``sizes N_x N_y``, then ``count K``,
-    then K lines ``i j w`` with integer indices and a weight in [0, 1].
-    Returns (source_size, target_size, pairs array (K, 2), weights (K,)).
+    then K lines ``i j w`` with integer indices and a weight in [0, 1]; a
+    source index appears at most once. Returns (source_size, target_size,
+    pairs array (K, 2), weights (K,)).
     """
     path = os.fspath(path)
     with open(path, "rb") as handle:
@@ -301,6 +302,7 @@ def read_weight_file(path):
 
     pairs = np.empty((count, 2), dtype=np.int64)
     weights = np.empty(count, dtype=np.float64)
+    first_line: dict[int, int] = {}
     for k in range(count):
         tokens = lines[3 + k].split()
         if len(tokens) != 3:
@@ -312,6 +314,9 @@ def read_weight_file(path):
             fail(3 + k, "entries must be two integers and a float")
         if not 0 <= i < source_size:
             fail(3 + k, f"source index {i} outside [0, {source_size})")
+        if i in first_line:
+            fail(3 + k, f"duplicate source index {i} (first on line {first_line[i] + 1})")
+        first_line[i] = 3 + k
         if not 0 <= j < target_size:
             fail(3 + k, f"target index {j} outside [0, {target_size})")
         if not (math.isfinite(w) and 0.0 <= w <= 1.0):

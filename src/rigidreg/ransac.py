@@ -29,12 +29,14 @@ draws past the stopping point are never read. The whole block is then
 tested for collinear samples, fitted by one call of the stacked closed-form
 kernel (:func:`procrustes.solve_stacked`), checked for proper rotations by
 :func:`geometry.is_rotation` (the test :class:`RigidTransform` makes) and
-scored against every pair. A walk over the block in draw order applies the
-sequential rules: the draw counter and cap, degenerate samples that consume
-no hypothesis, count-then-RMS tie-breaking and the stopping rule. Blocks
-grow from 64 samples up to ``n * B <= 2**16`` residuals (at least 8
-samples), so an early exit stays cheap and each residual plane holds at
-most about 0.5 MB whatever ``n`` is.
+scored against every pair, sample k in residual column k; a degenerate or
+improper fit is scored as the identity and its score never read. A walk
+over the block in draw order applies the sequential rules: the draw
+counter and cap, degenerate samples that consume no hypothesis,
+count-then-RMS tie-breaking and the stopping rule. Blocks grow from 64
+samples up to ``n * B <= 2**16`` residuals (at least 8 samples), so an
+early exit stays cheap and each residual plane holds at most about 0.5 MB
+whatever ``n`` is.
 """
 
 from __future__ import annotations
@@ -232,26 +234,12 @@ def _required(inliers: np.ndarray, min_support: np.ndarray, confidence: float,
     return int(np.ceil(np.log(1.0 - confidence) / np.log(1.0 - w_in**3)))
 
 
-@dataclass(frozen=True)
-class _Block:
-    """What the walk reads about a block of drawn samples. Per sample:
-    whether it is degenerate, whether its fit is a proper rotation, and its
-    column in ``residuals``/``counts`` (-1 when it is not scored)."""
-
-    degenerate: list[bool]
-    proper: list[bool]
-    column: list[int]
-    rotation: np.ndarray
-    translation: np.ndarray
-    residuals: np.ndarray
-    counts: list[int]
-
-
 def _evaluate(Xm: np.ndarray, Ym: np.ndarray, samples: np.ndarray,
-              threshold: float, scratch: np.ndarray) -> _Block:
+              threshold: float, scratch: np.ndarray):
     """Collinearity test, closed-form fit, rotation check and inlier count
-    of every ``(B, 3)`` sample in one pass; degenerate or improper fits are
-    not scored."""
+    of every ``(B, 3)`` sample in one pass. Residual column k and count k
+    score sample k; a degenerate or improper fit is scored as the identity,
+    as the padding columns are, and that score is never read."""
     P = Xm[samples]
     Q = Ym[samples]
     cross = np.cross(P[:, 1] - P[:, 0], P[:, 2] - P[:, 0])
@@ -264,18 +252,15 @@ def _evaluate(Xm: np.ndarray, Ym: np.ndarray, samples: np.ndarray,
     R, t = fit.rotation, fit.translation
     proper = is_rotation(R) & np.isfinite(t).all(axis=1)
 
-    scored = np.flatnonzero(~degenerate & proper)
-    column = np.full(len(samples), -1)
-    column[scored] = np.arange(len(scored))
-    width = -(-len(scored) // _COLUMN_ALIGN) * _COLUMN_ALIGN
+    scored = ~degenerate & proper
+    width = -(-len(samples) // _COLUMN_ALIGN) * _COLUMN_ALIGN
     Rs = np.broadcast_to(np.eye(3), (width, 3, 3)).copy()
     ts = np.zeros((width, 3))
-    Rs[: len(scored)] = R[scored]
-    ts[: len(scored)] = t[scored]
+    Rs[: len(samples)][scored] = R[scored]
+    ts[: len(samples)][scored] = t[scored]
     residuals = _residuals(Xm, Ym, Rs, ts, scratch)
     counts = np.count_nonzero(residuals < threshold, axis=0)
-    return _Block(degenerate.tolist(), proper.tolist(), column.tolist(),
-                  R, t, residuals, counts.tolist())
+    return degenerate.tolist(), proper.tolist(), R, t, residuals, counts.tolist()
 
 
 def ransac_register(
@@ -319,23 +304,24 @@ def ransac_register(
         size = min(block_size, draw_cap - draws,
                    min(cfg.max_iterations, required) - hypothesis)
         samples = _draw(rng, schedule, draws, size)
-        block = _evaluate(Xm, Ym, samples, cfg.inlier_threshold, scratch)
+        degenerate, proper, R, t, residuals, counts = _evaluate(
+            Xm, Ym, samples, cfg.inlier_threshold, scratch)
         block_size = min(2 * block_size, max_block)
 
         for k in range(size):
             if not (hypothesis < min(cfg.max_iterations, required) and draws < draw_cap):
                 break
             draws += 1
-            if block.degenerate[k]:
+            if degenerate[k]:
                 continue  # degenerate sample, does not consume a hypothesis
-            if not block.proper[k]:
-                RigidTransform(block.rotation[k], block.translation[k])  # raises NotARotation
+            if not proper[k]:
+                RigidTransform(R[k], t[k])  # raises NotARotation
             hypothesis += 1
 
-            count = block.counts[block.column[k]]
+            count = counts[k]
             if count >= best_count:
                 # the RMS only decides ties, so it is taken only for them
-                residual = block.residuals[:, block.column[k]]
+                residual = residuals[:, k]
                 inliers = residual < cfg.inlier_threshold
                 if count >= 3:
                     rms = float(np.sqrt(np.mean(residual[inliers] ** 2)))
@@ -344,7 +330,7 @@ def ransac_register(
                 if count > best_count or rms < best_rms:
                     best_count = count
                     best_rms = rms
-                    best_pose = (block.rotation[k], block.translation[k])
+                    best_pose = (R[k], t[k])
                     best_inliers = inliers
                     required = _required(inliers, min_support, cfg.confidence,
                                          cfg.max_iterations)

@@ -19,12 +19,8 @@ with Huber weights w_i * min(1, delta / r_i), a majorize-minimize scheme
 whose recorded energy sequence never increases. Weights are fixed for the
 whole run; correspondences are never re-matched. The loop gathers the
 active pairs once and computes the residuals once per step: those that
-score a step are the ones the next step's weights need. On a 2-vCPU Intel
-Xeon VM, refining the 60 first pairs of the benchmark's ``outlier_default``
-pool (about 21 steps each) took 6.8-8.3 ms per pair, against 16.7-19.5 ms
-when every step scored its pose through :func:`energy`, which gathers the
-pairs anew, and built it as a checked :class:`RigidTransform`; the poses
-and traces are bit-identical.
+score a step are the ones the next step's weights need. Each step checks
+its rotation once and rebuilds it once through the 6D map.
 """
 
 from __future__ import annotations
@@ -104,11 +100,10 @@ def _gram_schmidt(a1: np.ndarray, a2: np.ndarray) -> tuple[Vec3, Vec3, float, fl
     return b1, u / nu, n1, nu
 
 
-def rot6d_to_matrix(a: Rot6D) -> Mat3:
-    """Gram-Schmidt the two parameter vectors into rotation columns."""
-    b1, b2, _, _ = _gram_schmidt(a.a1, a.a2)
-    # b3 = b1 x b2 as the products np.cross takes, in its order, so it
-    # rounds the same; on 3-vectors np.cross costs far more than its arithmetic
+def _columns_to_matrix(b1: Vec3, b2: Vec3) -> Mat3:
+    """The rotation with columns b1, b2 and b3 = b1 x b2."""
+    # b3 as the products np.cross takes, in its order, so it rounds the
+    # same; on 3-vectors np.cross costs far more than its arithmetic
     x1, y1, z1 = b1.tolist()
     x2, y2, z2 = b2.tolist()
     return np.array([
@@ -118,12 +113,31 @@ def rot6d_to_matrix(a: Rot6D) -> Mat3:
     ])
 
 
-def matrix_to_rot6d(R: np.ndarray) -> Rot6D:
-    """Drop the third column; the first two determine the rotation."""
+def rot6d_to_matrix(a: Rot6D) -> Mat3:
+    """Gram-Schmidt the two parameter vectors into rotation columns."""
+    b1, b2, _, _ = _gram_schmidt(a.a1, a.a2)
+    return _columns_to_matrix(b1, b2)
+
+
+def _checked_rotation(R: np.ndarray) -> Mat3:
     R = np.asarray(R, dtype=np.float64)
     if R.shape != (3, 3) or not is_rotation(R):
         raise NotARotation("expected a proper 3x3 rotation matrix")
+    return R
+
+
+def matrix_to_rot6d(R: np.ndarray) -> Rot6D:
+    """Drop the third column; the first two determine the rotation."""
+    R = _checked_rotation(R)
     return Rot6D(R[:, 0].copy(), R[:, 1].copy())
+
+
+def _through_6d(R: np.ndarray) -> Mat3:
+    """``rot6d_to_matrix(matrix_to_rot6d(R))``, bit for bit, without the
+    :class:`Rot6D`, whose checks cannot fail on a proper rotation."""
+    R = _checked_rotation(R)
+    b1, b2, _, _ = _gram_schmidt(R[:, 0].copy(), R[:, 1].copy())
+    return _columns_to_matrix(b1, b2)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +210,7 @@ def energy_gradient(
     t = np.asarray(t, dtype=np.float64).reshape(3)
 
     b1, b2, n1, nu = _gram_schmidt(a.a1, a.a2)
-    R = rot6d_to_matrix(a)
+    R = _columns_to_matrix(b1, b2)
 
     d = Xa @ R.T + t - Ya
     r = np.linalg.norm(d, axis=1)
@@ -259,7 +273,7 @@ def refine(
     Xa, Ya, wa = _active_arrays(matches, source, target, weights)
     delta = cfg.huber_delta
 
-    R = rot6d_to_matrix(matrix_to_rot6d(init.rotation))
+    R = _through_6d(init.rotation)
     t = np.asarray(init.translation, dtype=np.float64)
     # the residuals that scored the current pose weight the next step
     current, r = _huber_energy(Xa, Ya, wa, R, t, delta)
@@ -272,9 +286,9 @@ def refine(
         v = wa * (delta / np.maximum(r, delta))
         total = float(v.sum())
         step = solve(Xa, Ya, NormalizedWeights(v / total, total))
-        # score the rotation as the 6D map rebuilds it; matrix_to_rot6d is
-        # the step's one rotation check
-        candidate_R = rot6d_to_matrix(matrix_to_rot6d(step.rotation))
+        # score the rotation as the 6D map rebuilds it, after the step's
+        # one rotation check
+        candidate_R = _through_6d(step.rotation)
         candidate, candidate_r = _huber_energy(Xa, Ya, wa, candidate_R, step.translation, delta)
         decrease = current - candidate
         if not decrease > 0.0:

@@ -25,7 +25,6 @@ from rigidreg import (
     WeightVector,
     bce_score,
     compute_features,
-    feature_dimension,
     generate_pair,
     label_inliers,
     match_nearest,
@@ -70,17 +69,12 @@ def test_inlier_labels_validation():
 # descriptors
 # ---------------------------------------------------------------------------
 
-def test_feature_dimension():
-    assert feature_dimension(FeatureConfig("local_histogram", bins=8)) == 11
-    assert feature_dimension(FeatureConfig("local_histogram", bins=16)) == 19
-    assert feature_dimension(FeatureConfig("raw_xyz")) == 3
-    with pytest.raises(ValueError):
-        feature_dimension(FeatureConfig("precomputed"))
-
-
 def test_feature_config_validation():
     with pytest.raises(ValueError):
         FeatureConfig("no_such_descriptor")
+    # coordinates as features are not rotation invariant
+    with pytest.raises(ValueError):
+        FeatureConfig("raw_xyz")
     with pytest.raises(ValueError):
         FeatureConfig("local_histogram", radius=0.0)
     with pytest.raises(ValueError):
@@ -94,13 +88,6 @@ def test_feature_config_validation():
         with pytest.raises(ValueError):
             FeatureConfig("local_histogram", bins=bins)
     assert FeatureConfig("local_histogram", bins=np.int64(4)).bins == 4
-
-
-def test_raw_xyz_normalizes_directions():
-    cloud = PointCloud(np.array([[3.0, 4.0, 0.0], [0.0, 0.0, 0.0]]))
-    out = compute_features(cloud, FeatureConfig("raw_xyz"))
-    np.testing.assert_allclose(out.features[0], [0.6, 0.8, 0.0], atol=1e-15)
-    np.testing.assert_array_equal(out.features[1], [0.0, 0.0, 0.0])
 
 
 def test_isolated_point_descriptor_is_unit_bin_zero():

@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -282,6 +284,8 @@ def test_weight_file_first_line_is_magic(tmp_path):
         ("DGRW 1\nsizes 1 1\ncount 1\n0 0\n", ":4: expected 'i j w'"),
         ("DGRW 1\nsizes 1 1\ncount 1\n0.5 0 0.5\n", ":4: entries must be"),
         ("DGRW 1\nsizes 1 1\ncount 1\n1 0 0.5\n", "source index 1 outside"),
+        ("DGRW 1\nsizes 3 3\ncount 3\n1 0 0.5\n2 1 0.5\n1 2 0.5\n",
+         ":6: duplicate source index 1 (first on line 4)"),
         ("DGRW 1\nsizes 1 1\ncount 1\n0 0 1.5\n", "weight 1.5 outside"),
         ("DGRW 1\nsizes 1 1\ncount 1\n0 0 inf\n", "weight inf outside"),
         ("DGRW 1\n", "truncated header"),
@@ -386,6 +390,15 @@ def test_config_keys_name_exactly_the_config_fields():
     assert {(section, field) for section, field, _ in _CONFIG_KEYS.values()} == expected
 
 
+def test_readme_config_table_lists_exactly_the_config_keys():
+    # a knob added or removed without its row in the README fails here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| key | default |", 1)[1].split("\n\n", 1)[0]
+    rows = re.findall(r"^\| `([^`]+)` \|", table, flags=re.MULTILINE)
+    assert len(rows) == len(set(rows))
+    assert set(rows) == set(_CONFIG_KEYS)
+
+
 @pytest.mark.parametrize(
     "content, fragment",
     [
@@ -402,6 +415,7 @@ def test_config_keys_name_exactly_the_config_fields():
         ("weighter = oracle:big\n", "bad oracle tau"),
         ("weighter = oracle:-1\n", "bad oracle tau"),
         ("feature.radius = inf\n", "radius must be finite"),
+        ("feature.descriptor = raw_xyz\n", "unknown descriptor 'raw_xyz'"),
         ("refine.huber_delta = inf\n", "huber_delta must be finite"),
         ("voxel_size = inf\n", "voxel_size must be finite"),
         ("refine.convergence_tol = inf\n", "convergence_tol must be finite"),
