@@ -14,6 +14,7 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 from numpy.typing import NDArray
+from scipy.sparse import coo_array
 from scipy.spatial import cKDTree
 
 from .errors import (
@@ -109,9 +110,11 @@ class FeatureConfig:
     A neighbor at distance d goes to bin ``floor(d / radius * bins)``,
     clamped to ``bins - 1``, so a distance equal to ``radius`` goes to the
     last bin; the point itself counts once in bin 0. ``radius`` must be
-    finite and positive, ``bins`` an integer of at least 2. ``precomputed``
-    renormalizes features already attached to the cloud, such as learned
-    descriptors.
+    finite and positive, ``bins`` an integer of at least 2.
+    ``precomputed`` renormalizes features already attached to the cloud,
+    such as learned descriptors. Only a Python caller can attach them:
+    config files and benchmark suites refuse it, since clouds read from
+    files or generated for a suite carry no features.
     """
 
     descriptor: str = "local_histogram"
@@ -144,59 +147,53 @@ def _local_histogram(points: np.ndarray, radius: float, bins: int) -> np.ndarray
     n = points.shape[0]
     pairs = cKDTree(points).query_pairs(radius, output_type="ndarray")
     e = pairs.shape[0]
-    # Every neighborhood sum runs over one stream of (owner, partner)
-    # entries: each point with itself, then each pair both ways. a and b are
-    # contiguous views into the owner side, so gathers through them are fast.
-    # A column of per-point values is gathered into one reused stream
-    # buffer. The indices are always in range, so mode="clip" never moves
-    # one; it is there because the default mode="raise" gathers into a
-    # hidden stream-sized temporary before copying it into out.
-    owner = np.concatenate([np.arange(n), pairs[:, 0], pairs[:, 1]])
-    a, b = owner[n:n + e], owner[n + e:]
-    del pairs
-    stream = np.empty(n + 2 * e)
-
-    def neighborhood_sum(column: np.ndarray) -> np.ndarray:
-        stream[:n] = column
-        np.take(column, b, out=stream[n:n + e], mode="clip")
-        np.take(column, a, out=stream[n + e:], mode="clip")
-        return np.bincount(owner, weights=stream, minlength=n)
-
-    # neighborhood first and second moments for the covariance eigenvalues.
-    # These float sums depend on the order of their terms: a weighted
-    # bincount adds a bin's entries in stream order, starting from 0.0, so
-    # feeding each bin its own point first, then its partners in pair order
-    # (through a, then through b), keeps every sum bit-identical to starting
-    # from the point's value and adding the pairs one by one; reorder the
-    # stream and the descriptor changes in its last bits. Each first-moment
-    # pass leaves points[a] and points[b] of one coordinate in the stream,
-    # and the squared pair distances are summed from them, x, y, then z.
+    a, b = pairs[:, 0], pairs[:, 1]
     planes = np.ascontiguousarray(points.T)
-    first = np.empty((n, 3), dtype=np.float64)
-    d = np.zeros(e)
-    for i, plane in enumerate(planes):
-        first[:, i] = neighborhood_sum(plane)
-        diff = stream[n + e:]
-        diff -= stream[n:n + e]
-        d += np.square(diff, out=diff)
-    second = np.empty((n, 3, 3), dtype=np.float64)
-    for i in range(3):
-        for j in range(i, 3):
-            second[:, i, j] = second[:, j, i] = neighborhood_sum(planes[i] * planes[j])
-    del stream, diff
 
-    # distance histogram and neighbor count: integer sums, exact in any
-    # order. The query point itself occupies bin 0, so the histogram never
-    # comes back empty and the normalization below is well defined. Spent
-    # pair-sized arrays are freed or overwritten, which keeps peak memory
-    # low on dense clouds.
+    # distance histogram and neighbor count, taken from the pair list: the
+    # squared pair distances are summed x, y, then z, and the bins are
+    # integer sums, exact in any order. The query point itself occupies
+    # bin 0, so the histogram never comes back empty and the normalization
+    # below is well defined. Spent pair-sized arrays are freed or
+    # overwritten, which keeps peak memory low on dense clouds.
+    d = np.zeros(e)
+    for plane in planes:
+        diff = plane[a]
+        diff -= plane[b]
+        d += np.square(diff, out=diff)
+    del diff
     slot = np.minimum((np.sqrt(d, out=d) / radius * bins).astype(np.int64), bins - 1)
     del d
-    key = owner * bins
-    key[n:n + e] += slot
-    key[n + e:] += slot
-    hist = np.bincount(key, minlength=n * bins).reshape(n, bins)
+    key = a * bins + slot
+    hist = np.bincount(key, minlength=n * bins)
+    np.multiply(b, bins, out=key)
+    key += slot
+    hist += np.bincount(key, minlength=n * bins)
+    del key, slot
+    hist = hist.reshape(n, bins)
+    hist[:, 0] += 1
     count = hist.sum(axis=1)
+
+    # neighborhood first and second moments for the covariance eigenvalues,
+    # all nine sums (x, y, z, xx, xy, xz, yy, yz, zz) in one product of the
+    # adjacency with the per-point columns. These float sums depend on the
+    # order of their terms. scipy's COO product starts each output row from
+    # 0.0 and adds its entries in stored order, so storing each point with
+    # itself, then each pair as (a, b), then as (b, a) keeps every sum
+    # bit-identical to starting from the point's value and adding the pairs
+    # one by one; reorder the entries and the descriptor changes in its
+    # last bits. The pair list is freed before the entries' data is made.
+    own = np.arange(n)
+    row = np.concatenate([own, a, b], dtype=np.int32)
+    col = np.concatenate([own, b, a], dtype=np.int32)
+    del pairs, a, b
+    adjacency = coo_array((np.ones(n + 2 * e), (row, col)), shape=(n, n))
+    del row, col
+    x, y, z = planes
+    sums = adjacency @ np.column_stack([x, y, z, x * x, x * y, x * z, y * y, y * z, z * z])
+    del adjacency
+    first = sums[:, :3]
+    second = sums[:, [3, 4, 5, 4, 6, 7, 5, 7, 8]].reshape(n, 3, 3)
 
     hist = hist / count[:, None]
     mean = first / count[:, None]
@@ -211,7 +208,13 @@ def _local_histogram(points: np.ndarray, radius: float, bins: int) -> np.ndarray
 
 def compute_features(cloud: PointCloud, cfg: FeatureConfig) -> PointCloud:
     """Attach a unit-norm descriptor to every point; deterministic given
-    inputs."""
+    inputs, down to the last bit.
+
+    ``local_histogram`` finds each point's neighbors with one k-d tree
+    pair query and sums their moments with one sparse product whose terms
+    are added in a fixed order. ``precomputed`` raises ``MissingFeatures``
+    when the cloud has no features attached.
+    """
     if len(cloud) == 0:
         raise EmptyCloud("cannot compute features on an empty cloud")
     if cfg.descriptor == "local_histogram":

@@ -466,10 +466,15 @@ def run_benchmark(
     completion. Pairs are evaluated in parallel up to
     :func:`worker_count` threads, with aggregation independent of schedule.
     An explicit ``weighter`` overrides ``cfg.weighter`` for every pair, same
-    as in :func:`register`.
+    as in :func:`register`. A ``precomputed`` descriptor is refused before
+    any pair is read: generated and PLY clouds carry no features.
     """
     if len(suite) == 0:
         raise ValueError("benchmark suite is empty")
+    if cfg.feature.descriptor == "precomputed":
+        raise ValueError(
+            "descriptor 'precomputed' needs attached features; suite clouds have none"
+        )
     begin = time.perf_counter()
 
     with ThreadPoolExecutor(max_workers=min(worker_count(), len(suite))) as pool:

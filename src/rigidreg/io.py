@@ -369,9 +369,10 @@ def parse_config_file(path, base: PipelineConfig = PipelineConfig()) -> Pipeline
     Keys the file leaves out keep their values in ``base``. A
     ``voxel_size`` set without ``ransac.inlier_threshold`` moves the
     threshold with it, as a config built with ``ransac=None`` would.
-    Blank lines and ``#`` comments are allowed; unknown or duplicate keys
-    and unparsable values are rejected naming the file and line, values
-    the config classes refuse naming the file and the setting.
+    Blank lines and ``#`` comments are allowed; unknown or duplicate keys,
+    unparsable values and ``feature.descriptor = precomputed`` (which no
+    cloud read from a file can satisfy) are rejected naming the file and
+    line, values the config classes refuse naming the file and the setting.
     """
     path = os.fspath(path)
     with open(path, "r", encoding="utf-8") as handle:
@@ -396,6 +397,12 @@ def parse_config_file(path, base: PipelineConfig = PipelineConfig()) -> Pipeline
                 f"{where}: duplicate key {key!r} (first on line {seen[key] + 1})"
             )
         seen[key] = index
+        if key == "feature.descriptor" and value == "precomputed":
+            # a cloud read from a file never carries features
+            raise FileFormatError(
+                f"{where}: descriptor 'precomputed' needs features attached "
+                "in Python; clouds read from files have none"
+            )
         section, field, converter = _CONFIG_KEYS[key]
         try:
             sections[section][field] = converter(value)

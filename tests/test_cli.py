@@ -82,6 +82,18 @@ def test_register_writes_pose_to_stdout_only(capsys, cloud_pair):
     assert "correspondences=" in captured.err
 
 
+def test_register_precomputed_config_names_the_line(capsys, tmp_path, cloud_pair):
+    # clouds read from PLY carry no features, so the config line is refused
+    src, tgt, _ = cloud_pair
+    cfg = tmp_path / "features.cfg"
+    cfg.write_text("feature.descriptor = precomputed\n")
+    assert main(["register", "--source", str(src), "--target", str(tgt),
+                 "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{cfg}:1: descriptor 'precomputed'" in captured.err
+
+
 def test_register_out_flag_redirects_document(capsys, tmp_path, cloud_pair):
     src, tgt, truth = cloud_pair
     out = tmp_path / "pose.json"

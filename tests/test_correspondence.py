@@ -6,6 +6,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+from scipy.sparse import coo_array
 from scipy.spatial import cKDTree
 
 from rigidreg import (
@@ -252,11 +253,32 @@ def test_descriptor_matches_add_at_reference(make_clouds, radius, bins):
         assert np.array_equal(compute_features(cloud, cfg).features, expected)
 
 
+@pytest.mark.parametrize(
+    "order, expected",
+    [((0, 1, 2), 0.0), ((0, 2, 1), 1.0), ((1, 0, 2), 0.0)],
+)
+def test_coo_product_adds_entries_in_stored_order(order, expected):
+    # the descriptor's neighborhood sums are bit-identical only if scipy's
+    # COO product starts each row from 0.0 and adds the entries in stored
+    # order. 1e16 + 1.0 rounds back to 1e16, so the order of 1e16, 1.0 and
+    # -1e16 decides whether the row sums to 0.0 or to 1.0
+    values = np.array([1e16, 1.0, -1e16])
+    total = 0.0
+    for k in order:
+        total += 1.0 * values[k]
+    assert total == expected
+    row = np.zeros(3, dtype=np.int32)
+    product = coo_array((np.ones(3), (row, np.array(order, dtype=np.int32))), shape=(1, 3))
+    columns = np.repeat(values[:, None], 9, axis=1)
+    assert np.array_equal(product @ columns, np.full((1, 9), expected))
+
+
 def test_descriptor_memory_stays_bounded():
-    # a dense cloud: about 3.7k points and 0.5M neighbor pairs. The kernel
-    # holds at most a few pair-sized arrays at once, about 21 MB here;
-    # gathering all three coordinate planes over the pair stream would not
-    # fit under the bound
+    # a dense cloud: about 3.7k points and 0.5M neighbor pairs. The peak is
+    # the neighborhood product's entries, 16 bytes each for n + 2e of them,
+    # about 16 MB here; one more float array over all the entries, such as
+    # the stream the bincount sums gathered into, would not fit under the
+    # bound
     cloud = _recipe_clouds(_DENSE_RECIPE, 0.02, 11)[0]
     cfg = FeatureConfig("local_histogram", radius=0.25, bins=8)
     tracemalloc.start()
@@ -265,7 +287,7 @@ def test_descriptor_memory_stays_bounded():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 32 * 2**20
+    assert peak < 18 * 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 
 import rigidreg.io
 from rigidreg import (
+    FeatureConfig,
     FilePairSpec,
     PairMetrics,
     PipelineConfig,
@@ -365,6 +366,21 @@ def test_run_benchmark_oracle_weights_half_outliers():
 def test_run_benchmark_empty_suite_rejected():
     with pytest.raises(ValueError):
         run_benchmark([], PipelineConfig(), 0.1, 0.1)
+
+
+def test_run_benchmark_refuses_precomputed_descriptor(tmp_path, patch_cloud, monkeypatch):
+    # generated and PLY clouds carry no features, so every pair would fail
+    # with MissingFeatures; the suite is refused before any pair is read
+    cloud = tmp_path / "cloud.ply"
+    write_ply(patch_cloud, cloud)
+    reads = []
+    monkeypatch.setattr(rigidreg.io, "read_ply", lambda path: reads.append(path))
+    suite = [FilePairSpec(str(cloud), str(cloud), str(tmp_path / "pose.json")),
+             SyntheticPairSpec(n_points=50, seed=1)]
+    cfg = PipelineConfig(feature=FeatureConfig("precomputed"))
+    with pytest.raises(ValueError, match="precomputed"):
+        run_benchmark(suite, cfg, math.radians(15.0), 0.30)
+    assert reads == []
 
 
 def test_run_benchmark_file_pairs_and_failure_rows(tmp_path, patch_cloud):

@@ -416,6 +416,8 @@ def test_readme_config_table_lists_exactly_the_config_keys():
         ("weighter = oracle:-1\n", "bad oracle tau"),
         ("feature.radius = inf\n", "radius must be finite"),
         ("feature.descriptor = raw_xyz\n", "unknown descriptor 'raw_xyz'"),
+        ("voxel_size = 0.1\nfeature.descriptor = precomputed\n",
+         ":2: descriptor 'precomputed' needs features attached"),
         ("refine.huber_delta = inf\n", "huber_delta must be finite"),
         ("voxel_size = inf\n", "voxel_size must be finite"),
         ("refine.convergence_tol = inf\n", "convergence_tol must be finite"),
