@@ -20,7 +20,6 @@ from scipy.spatial import cKDTree
 from .errors import (
     DimensionMismatch,
     EmptyCloud,
-    LengthMismatch,
     MissingFeatures,
     WeightLengthMismatch,
 )
@@ -78,25 +77,6 @@ class WeightVector:
 
     def __len__(self) -> int:
         return self.values.shape[0]
-
-
-@dataclass(frozen=True)
-class InlierLabels:
-    """Ground-truth inlier flags: pair (i, j) is an inlier iff the residual
-    of x_i mapped through the true transform to y_j is strictly below tau."""
-
-    labels: NDArray[np.bool_]
-    tau: float
-
-    def __post_init__(self) -> None:
-        lab = np.asarray(self.labels, dtype=bool).reshape(-1)
-        if not self.tau > 0:
-            raise ValueError("tau must be positive")
-        lab.flags.writeable = False
-        object.__setattr__(self, "labels", lab)
-
-    def __len__(self) -> int:
-        return self.labels.shape[0]
 
 
 @dataclass(frozen=True)
@@ -252,13 +232,16 @@ def label_inliers(
     target: PointCloud,
     true_transform: RigidTransform,
     tau: float,
-) -> InlierLabels:
-    """Flag each pair whose residual under the true transform is < tau."""
+) -> NDArray[np.bool_]:
+    """Flag each pair whose residual under the true transform is < tau, as
+    a read-only boolean mask."""
     if not tau > 0:
         raise ValueError("tau must be positive")
     mapped = true_transform.apply(source.points[matches.pairs[:, 0]])
     residual = np.linalg.norm(mapped - target.points[matches.pairs[:, 1]], axis=1)
-    return InlierLabels(residual < tau, tau)
+    labels = residual < tau
+    labels.flags.writeable = False
+    return labels
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +274,7 @@ class OracleWeighter:
 
     def __call__(self, matches, source, target):
         labels = label_inliers(matches, source, target, self.true_transform, self.tau)
-        return labels.labels.astype(np.float64)
+        return labels.astype(np.float64)
 
 
 class HeuristicWeighter:
@@ -344,25 +327,3 @@ def weigh(
         )
     return WeightVector(values)
 
-
-# ---------------------------------------------------------------------------
-# weighter quality
-# ---------------------------------------------------------------------------
-
-_CLAMP_EPS = 1e-7
-
-
-def bce_score(weights: WeightVector, labels: InlierLabels) -> float:
-    """Binary cross-entropy between predicted confidences and ground-truth
-    inlier labels, returned as a non-negative mean NLL (0 is perfect).
-
-    Weights are clamped to [1e-7, 1 - 1e-7] so hard 0/1 predictions do not
-    produce infinite logs.
-    """
-    if len(weights) != len(labels):
-        raise LengthMismatch(
-            f"{len(weights)} weights vs {len(labels)} labels"
-        )
-    p = np.clip(weights.values, _CLAMP_EPS, 1.0 - _CLAMP_EPS)
-    lab = labels.labels
-    return float(-np.mean(np.where(lab, np.log(p), np.log1p(-p))))

@@ -91,8 +91,8 @@ def is_rotation(R: np.ndarray) -> NDArray[np.bool_]:
 class RigidTransform:
     """A proper rigid motion: rotation ``R`` in SO(3) plus translation ``t``.
 
-    Construction validates the rotation with :func:`is_rotation`; use
-    :func:`orthonormalize` to repair a drifting matrix first.
+    Construction validates the rotation with :func:`is_rotation` and raises
+    NotARotation on a matrix that fails it.
     """
 
     rotation: Mat3
@@ -121,29 +121,6 @@ class RigidTransform:
     def inverse(self) -> "RigidTransform":
         Rt = self.rotation.T
         return RigidTransform(Rt, -(Rt @ self.translation))
-
-
-def orthonormalize(R: Mat3) -> Mat3:
-    """Project a near-rotation onto the closest orthogonal matrix.
-
-    Uses the polar factor from the SVD, which preserves the determinant
-    sign, so a drifting proper rotation stays proper.
-    """
-    U, _, Vt = np.linalg.svd(np.asarray(R, dtype=np.float64))
-    return U @ Vt
-
-
-def compose(first: RigidTransform, second: RigidTransform) -> RigidTransform:
-    """Return the transform equivalent to applying ``second`` then ``first``.
-
-    ``compose(T1, T2)(p) == T1(T2(p))``. The composed rotation is
-    re-orthonormalized if float drift pushes it past the SO(3) tolerance.
-    """
-    R = first.rotation @ second.rotation
-    t = first.rotation @ second.translation + first.translation
-    if not is_rotation(R):
-        R = orthonormalize(R)
-    return RigidTransform(R, t)
 
 
 def voxel_downsample(cloud: PointCloud, voxel_size: float, seed: int) -> PointCloud:

@@ -7,10 +7,11 @@ The branch decision is the strict test
     inlier_fraction(w, prefilter_tau) < safeguard_tau_s  ->  safeguard.
 
 On the main branch the prefiltered weights phi(w) = I[w > prefilter_tau]*w
-feed both the weighted solve and the refinement. Any solver degeneracy
-(all weights filtered, fewer than 3 surviving pairs, collinear weighted
-geometry) also diverts to the safeguard with the reason recorded on the
-result.
+feed both the weighted solve and the refinement. A solver degeneracy
+(fewer than 3 surviving pairs, collinear weighted geometry) also diverts
+to the safeguard with the reason recorded on the result. The main branch
+never sees all weights filtered: the weight mass it then has is 0, below
+``safeguard_tau_s``.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .correspondence import (
     weigh,
 )
 from .errors import (
-    AllWeightsFiltered,
     DegenerateConfiguration,
     EmptyCloud,
     LengthMismatch,
@@ -63,6 +63,14 @@ class PipelineConfig:
     the prefiltered weights, which pairs refinement sees. ``seed``, a
     non-negative integer, drives the voxel subsampling draw. A ``ransac``
     of None resolves to defaults with ``inlier_threshold = voxel_size``.
+
+    That resolved ``ransac`` is stored, so ``dataclasses.replace`` of a
+    built config keeps its threshold: ``replace(PipelineConfig(),
+    voxel_size=0.3).ransac.inlier_threshold`` is 0.05, where
+    ``PipelineConfig(voxel_size=0.3)`` gives 0.3. Replace both to move
+    both: ``replace(cfg, voxel_size=0.3, ransac=replace(cfg.ransac,
+    inlier_threshold=0.3))``. :func:`io.parse_config_file` already moves
+    the threshold with a ``voxel_size`` the file sets.
     """
 
     feature: FeatureConfig = FeatureConfig()
@@ -164,7 +172,7 @@ def _core(
                 correspondence_count=len(matches),
                 stage_seconds=dict(stage_seconds),
             )
-        except (AllWeightsFiltered, TooFewCorrespondences, DegenerateConfiguration) as exc:
+        except (TooFewCorrespondences, DegenerateConfiguration) as exc:
             fallback_reason = type(exc).__name__
 
     begin = time.perf_counter()

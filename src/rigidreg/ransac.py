@@ -45,6 +45,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import coo_array
 from scipy.spatial.distance import cdist
 
 from .correspondence import CorrespondenceSet, WeightVector
@@ -151,14 +152,16 @@ def _rank(Xm: np.ndarray, Ym: np.ndarray, sigma: float) -> tuple[np.ndarray, flo
         rows.append((r + first).astype(np.int32))
         cols.append((c + first).astype(np.int32))
         values.append(1.0 - (gap.ravel()[kept] / sigma) ** 2)
-    rows, cols, values = np.concatenate(rows), np.concatenate(cols), np.concatenate(values)
+    upper = coo_array((np.concatenate(values), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(n, n))
 
-    # entries lie in [0, 1], so 10 products stay below n**10 and need no
-    # rescaling between steps
+    # M v = upper v + upper^T v. scipy's COO product starts each output
+    # entry from 0.0 and adds the stored entries in order, which fixes every
+    # step bit for bit. Entries lie in [0, 1], so 10 products stay below
+    # n**10 and need no rescaling between steps
     v = np.ones(n)
     for _ in range(_POWER_ITERATIONS):
-        v = (np.bincount(rows, values * v[cols], minlength=n)
-             + np.bincount(cols, values * v[rows], minlength=n))
+        v = upper @ v + upper.T @ v
     beta = min(max(2.0 * close / n / n, 1.0 / n), 0.5)
     return np.argsort(-v, kind="stable"), beta
 

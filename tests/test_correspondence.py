@@ -1,7 +1,9 @@
 """Descriptors, matching, inlier labels, and weight providers."""
 
+import importlib
 import math
 import tracemalloc
+import weakref
 from functools import partial
 
 import numpy as np
@@ -14,8 +16,6 @@ from rigidreg import (
     DimensionMismatch,
     FeatureConfig,
     HeuristicWeighter,
-    InlierLabels,
-    LengthMismatch,
     MissingFeatures,
     OracleWeighter,
     PointCloud,
@@ -24,7 +24,6 @@ from rigidreg import (
     UniformWeighter,
     WeightLengthMismatch,
     WeightVector,
-    bce_score,
     compute_features,
     generate_pair,
     label_inliers,
@@ -59,11 +58,6 @@ def test_weight_vector_validation():
         WeightVector(np.array([-0.1]))
     with pytest.raises(ValueError):
         WeightVector(np.array([np.nan]))
-
-
-def test_inlier_labels_validation():
-    with pytest.raises(ValueError):
-        InlierLabels(np.array([True]), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -258,19 +252,27 @@ def test_descriptor_matches_add_at_reference(make_clouds, radius, bins):
     [((0, 1, 2), 0.0), ((0, 2, 1), 1.0), ((1, 0, 2), 0.0)],
 )
 def test_coo_product_adds_entries_in_stored_order(order, expected):
-    # the descriptor's neighborhood sums are bit-identical only if scipy's
-    # COO product starts each row from 0.0 and adds the entries in stored
-    # order. 1e16 + 1.0 rounds back to 1e16, so the order of 1e16, 1.0 and
-    # -1e16 decides whether the row sums to 0.0 or to 1.0
+    # the descriptor's neighborhood sums and the safeguard's power steps
+    # (``upper @ v + upper.T @ v``) are bit-identical only if scipy's COO
+    # product starts each row from 0.0 and adds the entries in stored
+    # order, for a block of columns and for one vector, through the matrix
+    # and through its transpose. 1e16 + 1.0 rounds back to 1e16, so the
+    # order of 1e16, 1.0 and -1e16 decides whether the row sums to 0.0 or
+    # to 1.0
     values = np.array([1e16, 1.0, -1e16])
     total = 0.0
     for k in order:
         total += 1.0 * values[k]
     assert total == expected
     row = np.zeros(3, dtype=np.int32)
-    product = coo_array((np.ones(3), (row, np.array(order, dtype=np.int32))), shape=(1, 3))
+    col = np.array(order, dtype=np.int32)
+    product = coo_array((np.ones(3), (row, col)), shape=(1, 3))
     columns = np.repeat(values[:, None], 9, axis=1)
     assert np.array_equal(product @ columns, np.full((1, 9), expected))
+    # a one-row product of a vector comes back as a scalar
+    assert product @ values == expected
+    transposed = coo_array((np.ones(3), (col, row)), shape=(3, 1))
+    assert transposed.T @ values == expected
 
 
 def test_descriptor_memory_stays_bounded():
@@ -288,6 +290,33 @@ def test_descriptor_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 18 * 2**20
+
+
+def test_descriptor_frees_the_pair_list_before_the_product(monkeypatch):
+    # tracemalloc does not see the (e, 2) array that query_pairs returns
+    # (7.6 MB on the dense cloud above), so that bound cannot tell whether
+    # it is still alive next to the product's entries; a weak reference can
+    module = importlib.import_module("rigidreg.correspondence")
+    pair_lists = []
+
+    class Tree(cKDTree):
+        def query_pairs(self, *args, **kwargs):
+            pairs = super().query_pairs(*args, **kwargs)
+            pair_lists.append(weakref.ref(pairs))
+            return pairs
+
+    built = []
+
+    def adjacency(*args, **kwargs):
+        assert pair_lists[-1]() is None, "the query_pairs list is alive at the product"
+        built.append(True)
+        return coo_array(*args, **kwargs)
+
+    monkeypatch.setattr(module, "cKDTree", Tree)
+    monkeypatch.setattr(module, "coo_array", adjacency)
+    cloud = _recipe_clouds(_OUTLIER_RECIPE, 0.05, 5)[0]
+    compute_features(cloud, FeatureConfig("local_histogram", radius=0.25, bins=8))
+    assert len(pair_lists) == 1 and built == [True]
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +374,8 @@ def test_label_inliers_strict_threshold():
     tgt = PointCloud(np.array([[0.0, 0.0, 0.0], [1.0, tau, 0.0]]))
     matches = CorrespondenceSet(np.array([[0, 0], [1, 1]]), 2, 2)
     labels = label_inliers(matches, src, tgt, RigidTransform.identity(), tau)
-    assert labels.labels.tolist() == [True, False]  # residual == tau is out
+    assert labels.dtype == bool and not labels.flags.writeable
+    assert labels.tolist() == [True, False]  # residual == tau is out
     with pytest.raises(ValueError):
         label_inliers(matches, src, tgt, RigidTransform.identity(), 0.0)
 
@@ -363,7 +393,7 @@ def test_label_inliers_matches_construction(rng):
     labels = label_inliers(matches, PointCloud(X), PointCloud(Y), truth, tau)
     expected = np.ones(100, dtype=bool)
     expected[corrupt] = False
-    np.testing.assert_array_equal(labels.labels, expected)
+    np.testing.assert_array_equal(labels, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -445,47 +475,3 @@ def test_weigh_validates_provider_output():
     with pytest.raises(ValueError):
         weigh(matches, src, tgt, lambda m, s, t: np.array([0.5, 1.5]))
 
-
-# ---------------------------------------------------------------------------
-# weighter quality score
-# ---------------------------------------------------------------------------
-
-def test_bce_hand_value():
-    w = WeightVector(np.array([0.9, 0.2]))
-    labels = InlierLabels(np.array([True, False]), 0.1)
-    # -(ln 0.9 + ln 0.8) / 2
-    assert abs(bce_score(w, labels) - 0.16425203348601815) < 1e-12
-
-
-def test_bce_coin_flip_weights_give_log_two():
-    w = WeightVector(np.full(6, 0.5))
-    labels = InlierLabels(np.array([True, False, True, True, False, True]), 0.1)
-    assert abs(bce_score(w, labels) - math.log(2.0)) < 1e-12
-
-
-def test_bce_matches_direct_summation(rng):
-    w = rng.uniform(0.0, 1.0, size=10)
-    labels = rng.uniform(size=10) < 0.5
-    clamped = np.clip(w, 1e-7, 1.0 - 1e-7)
-    expected = -float(
-        np.sum(np.where(labels, np.log(clamped), np.log1p(-clamped)))
-    ) / 10.0
-    got = bce_score(WeightVector(w), InlierLabels(labels, 0.1))
-    assert abs(got - expected) < 1e-12
-
-
-def test_bce_clamps_hard_zero():
-    w = WeightVector(np.array([0.0]))
-    labels = InlierLabels(np.array([True]), 0.1)
-    assert abs(bce_score(w, labels) - (-math.log(1e-7))) < 1e-9
-
-
-def test_bce_perfect_predictions_near_zero():
-    w = WeightVector(np.array([1.0, 0.0, 1.0]))
-    labels = InlierLabels(np.array([True, False, True]), 0.1)
-    assert 0.0 <= bce_score(w, labels) < 1e-6
-
-
-def test_bce_length_mismatch():
-    with pytest.raises(LengthMismatch):
-        bce_score(WeightVector(np.array([0.5])), InlierLabels(np.array([True, False]), 0.1))

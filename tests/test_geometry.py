@@ -14,8 +14,6 @@ from rigidreg import (
     PointCloud,
     RigidTransform,
     SpatialIndex,
-    compose,
-    orthonormalize,
     voxel_downsample,
 )
 from rigidreg.geometry import is_rotation
@@ -78,7 +76,7 @@ def test_rigid_transform_inverse_round_trips(rng):
 
 
 # ---------------------------------------------------------------------------
-# apply / compose
+# apply
 # ---------------------------------------------------------------------------
 
 def test_apply_half_turn_about_z():
@@ -93,36 +91,6 @@ def test_apply_pure_translation():
     np.testing.assert_array_equal(out, [[1.0, 2.0, 3.0]])
 
 
-def test_compose_with_inverse_is_identity(rng):
-    T = RigidTransform(rodrigues(rng.normal(size=3), 0.9), rng.normal(size=3))
-    I = compose(T, T.inverse())
-    assert np.abs(I.rotation - np.eye(3)).max() < 1e-10
-    assert np.abs(I.translation).max() < 1e-10
-
-
-def test_compose_identity_left(rng):
-    T = RigidTransform(rodrigues(rng.normal(size=3), 2.0), rng.normal(size=3))
-    C = compose(RigidTransform.identity(), T)
-    assert np.abs(C.rotation - T.rotation).max() < 1e-15
-    assert np.abs(C.translation - T.translation).max() < 1e-15
-
-
-def test_compose_z_rotations_add():
-    C = compose(
-        RigidTransform(rot_z(0.3), np.zeros(3)),
-        RigidTransform(rot_z(0.5), np.zeros(3)),
-    )
-    assert np.abs(C.rotation - rot_z(0.8)).max() < 1e-12
-
-
-def test_compose_matches_pointwise_application(rng):
-    for _ in range(10):
-        T1 = RigidTransform(rodrigues(rng.normal(size=3), rng.uniform(0, 3)), rng.normal(size=3))
-        T2 = RigidTransform(rodrigues(rng.normal(size=3), rng.uniform(0, 3)), rng.normal(size=3))
-        p = rng.normal(size=(5, 3))
-        assert np.abs(compose(T1, T2).apply(p) - T1.apply(T2.apply(p))).max() < 1e-12
-
-
 def test_transforms_preserve_pairwise_distances(rng):
     for _ in range(20):
         T = RigidTransform(rodrigues(rng.normal(size=3), rng.uniform(0, 3)), rng.normal(size=3) * 5)
@@ -130,22 +98,6 @@ def test_transforms_preserve_pairwise_distances(rng):
         before = np.linalg.norm(p - q)
         after = np.linalg.norm(T.apply(p[None]) - T.apply(q[None]))
         assert abs(after - before) <= 1e-9 * (1.0 + before)
-
-
-def test_orthonormalize_repairs_drift(rng):
-    R = rodrigues(rng.normal(size=3), 1.1)
-    drifted = R + rng.normal(size=(3, 3)) * 1e-6
-    Q = orthonormalize(drifted)
-    assert np.abs(Q.T @ Q - np.eye(3)).max() < 1e-12
-    assert abs(np.linalg.det(Q) - 1.0) < 1e-12
-    assert np.abs(Q - R).max() < 1e-5
-
-
-def test_orthonormalize_preserves_reflection_sign():
-    # the polar factor is the nearest orthogonal matrix; it does not
-    # silently flip an improper input into a rotation
-    M = np.diag([1.0, 1.0, -1.0]) + 1e-8
-    assert np.linalg.det(orthonormalize(M)) < 0
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from rigidreg import (
     CorrespondenceSet,
@@ -258,6 +259,40 @@ def test_spectral_rank_puts_the_inliers_first(seed):
     np.testing.assert_array_equal(again, order)
     assert beta_again == beta
     assert sorted(order.tolist()) == list(range(len(X)))
+
+
+@pytest.mark.parametrize("sigma", [0.02, 0.3])
+def test_spectral_rank_matches_the_written_out_power_steps(monkeypatch, sigma):
+    # the reference adds each step's terms pair by pair in row-major order
+    # over the compatible pairs above the diagonal; _rank's eigenvector must
+    # equal it bit for bit, however its products are formed
+    matches, src, tgt, _, _ = _corrupted_pair(seed=0)
+    X, Y = src.points[matches.pairs[:, 0]], tgt.points[matches.pairs[:, 1]]
+    n = len(X)
+    dy = cdist(Y, Y)
+    gap = np.abs(cdist(X, X) - dy)
+    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
+    rows, cols = np.nonzero(upper & (gap < sigma))
+    values = 1.0 - (gap[rows, cols] / sigma) ** 2
+    v = np.ones(n)
+    for _ in range(10):
+        v = (np.bincount(rows, values * v[cols], minlength=n)
+             + np.bincount(cols, values * v[rows], minlength=n))
+
+    seen = []
+    argsort = np.argsort
+
+    def keep_and_sort(a, **kwargs):
+        seen.append(-a)
+        return argsort(a, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", keep_and_sort)
+    order, beta = _rank(X, Y, sigma)
+    monkeypatch.undo()
+    np.testing.assert_array_equal(seen[-1], v)
+    np.testing.assert_array_equal(order, np.argsort(-v, kind="stable"))
+    close = np.count_nonzero(upper & (dy < sigma))
+    assert beta == min(max(2.0 * close / n / n, 1.0 / n), 0.5)
 
 
 @pytest.mark.parametrize("n, outlier_ratio", [(3, 0.0), (40, 0.0), (4000, 0.9)])
