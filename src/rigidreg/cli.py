@@ -71,13 +71,6 @@ def _cmd_register(args) -> int:
 
     if args.weights:
         source_size, target_size, pairs, weights = read_weight_file(args.weights)
-        if source_size != len(source) or target_size != len(target):
-            print(
-                f"error: weight file sized for {source_size}x{target_size} "
-                f"clouds, inputs are {len(source)}x{len(target)}",
-                file=sys.stderr,
-            )
-            return 1
         matches = CorrespondenceSet(pairs, source_size, target_size)
         result = register_with_correspondences(
             matches, WeightVector(weights), source, target, cfg

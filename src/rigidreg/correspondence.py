@@ -8,7 +8,6 @@ as the built-in heuristics.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
@@ -22,6 +21,8 @@ from .errors import (
     EmptyCloud,
     MissingFeatures,
     WeightLengthMismatch,
+    _check_count,
+    _check_length,
 )
 from .geometry import F64, PointCloud, RigidTransform, SpatialIndex
 
@@ -104,13 +105,8 @@ class FeatureConfig:
     def __post_init__(self) -> None:
         if self.descriptor not in _DESCRIPTORS:
             raise ValueError(f"unknown descriptor {self.descriptor!r}")
-        if self.descriptor == "local_histogram":
-            if not (self.radius > 0 and math.isfinite(self.radius)):
-                raise ValueError("radius must be finite and positive")
-            if not isinstance(self.bins, (int, np.integer)):
-                raise ValueError(f"bins must be an integer, got {self.bins!r}")
-            if self.bins < 2:
-                raise ValueError("bins must be at least 2")
+        _check_length("radius", self.radius)
+        _check_count("bins", self.bins, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +231,7 @@ def label_inliers(
 ) -> NDArray[np.bool_]:
     """Flag each pair whose residual under the true transform is < tau, as
     a read-only boolean mask."""
-    if not tau > 0:
-        raise ValueError("tau must be positive")
+    _check_length("tau", tau)
     mapped = true_transform.apply(source.points[matches.pairs[:, 0]])
     residual = np.linalg.norm(mapped - target.points[matches.pairs[:, 1]], axis=1)
     labels = residual < tau
@@ -269,6 +264,7 @@ class OracleWeighter:
     0 otherwise. Useful for synthetic evaluation where the truth is known."""
 
     def __init__(self, true_transform: RigidTransform, tau: float = 0.1):
+        _check_length("tau", tau)
         self.true_transform = true_transform
         self.tau = float(tau)
 

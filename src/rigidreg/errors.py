@@ -1,4 +1,23 @@
-"""Exception hierarchy shared by all rigidreg modules."""
+"""Exception hierarchy and value rules shared by all rigidreg modules."""
+
+import math
+from numbers import Real
+
+import numpy as np
+
+
+def _check_length(name: str, value) -> None:
+    """A length is a finite real number > 0 (never a bool)."""
+    if not (isinstance(value, Real) and not isinstance(value, bool)
+            and value > 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
+def _check_count(name: str, value, minimum: int = 0) -> None:
+    """A count or seed is an int or numpy integer (never a bool) >= minimum."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        rule = "a non-negative integer" if minimum == 0 else f"at least {minimum}, an integer"
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
 class RegistrationError(Exception):

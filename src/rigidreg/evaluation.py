@@ -21,7 +21,7 @@ from numpy.typing import NDArray
 
 from . import io  # readers looked up at call time, so wrappers of them see every read
 from .correspondence import CorrespondenceSet, FeatureConfig
-from .errors import FileFormatError, RegistrationError
+from .errors import FileFormatError, RegistrationError, _check_count, _check_length
 from .geometry import F64, PointCloud, RigidTransform
 from .pipeline import PipelineConfig, register, resolve_weighter
 from .refine import RefineConfig
@@ -100,8 +100,7 @@ class SyntheticPairSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_points < 10:
-            raise ValueError("n_points must be at least 10")
+        _check_count("n_points", self.n_points, 10)
         if not 0.0 <= self.overlap_ratio <= 1.0:
             raise ValueError("overlap_ratio must lie in [0, 1]")
         if not 0.0 <= self.outlier_ratio <= 1.0:
@@ -110,6 +109,7 @@ class SyntheticPairSpec:
             raise ValueError("noise_sigma must be finite and non-negative")
         if not all(0.0 <= m < math.inf for m in self.transform_magnitude):
             raise ValueError("transform magnitudes must be finite and non-negative")
+        _check_count("seed", self.seed)
 
 
 @dataclass(frozen=True)
@@ -384,7 +384,6 @@ def outdoor_preset() -> Preset:
             feature=FeatureConfig(radius=1.5),
             voxel_size=0.30,
             refine=RefineConfig(huber_delta=0.30),
-            ransac=None,  # resolves to inlier_threshold = 0.30
         ),
         re_threshold=math.radians(5.0),
         te_threshold=0.60,
@@ -467,10 +466,13 @@ def run_benchmark(
     :func:`worker_count` threads, with aggregation independent of schedule.
     An explicit ``weighter`` overrides ``cfg.weighter`` for every pair, same
     as in :func:`register`. A ``precomputed`` descriptor is refused before
-    any pair is read: generated and PLY clouds carry no features.
+    any pair is read, since generated and PLY clouds carry no features; so
+    is a success threshold that is not finite and positive.
     """
     if len(suite) == 0:
         raise ValueError("benchmark suite is empty")
+    _check_length("re_threshold", re_threshold)
+    _check_length("te_threshold", te_threshold)
     if cfg.feature.descriptor == "precomputed":
         raise ValueError(
             "descriptor 'precomputed' needs attached features; suite clouds have none"

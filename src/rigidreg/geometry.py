@@ -21,7 +21,7 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.spatial import cKDTree
 
-from .errors import EmptyCloud, NotARotation
+from .errors import EmptyCloud, NotARotation, _check_length
 
 F64: TypeAlias = np.float64
 Points: TypeAlias = NDArray[F64]  # (N, 3)
@@ -130,8 +130,7 @@ def voxel_downsample(cloud: PointCloud, voxel_size: float, seed: int) -> PointCl
     origin at (0, 0, 0). Output points are ordered by cell key, so the
     result is deterministic given the seed and idempotent at fixed grid.
     """
-    if voxel_size <= 0:
-        raise ValueError("voxel_size must be positive")
+    _check_length("voxel_size", voxel_size)
     if len(cloud) == 0:
         raise EmptyCloud("cannot downsample an empty cloud")
 

@@ -345,7 +345,7 @@ def write_weight_file(path, source_size: int, target_size: int, pairs, weights) 
 def _config_keys() -> dict[str, tuple[str, str, type]]:
     """key -> (section, field, type): a flat key per pipeline field and a
     dotted key per field of each nested block (feature, refine, ransac).
-    A value parses with the type of its field's default value."""
+    A value parses with the type of its field's class default value."""
     keys = {}
     defaults = PipelineConfig()
     for outer in fields(PipelineConfig):
@@ -353,7 +353,7 @@ def _config_keys() -> dict[str, tuple[str, str, type]]:
         if is_dataclass(value):
             for inner in fields(value):
                 keys[f"{outer.name}.{inner.name}"] = (
-                    outer.name, inner.name, type(getattr(value, inner.name))
+                    outer.name, inner.name, type(inner.default)
                 )
         else:
             keys[outer.name] = ("pipeline", outer.name, type(value))
@@ -366,13 +366,11 @@ _CONFIG_KEYS = _config_keys()
 def parse_config_file(path, base: PipelineConfig = PipelineConfig()) -> PipelineConfig:
     """Apply a flat ``key = value`` config file to ``base``.
 
-    Keys the file leaves out keep their values in ``base``. A
-    ``voxel_size`` set without ``ransac.inlier_threshold`` moves the
-    threshold with it, as a config built with ``ransac=None`` would.
-    Blank lines and ``#`` comments are allowed; unknown or duplicate keys,
-    unparsable values and ``feature.descriptor = precomputed`` (which no
-    cloud read from a file can satisfy) are rejected naming the file and
-    line, values the config classes refuse naming the file and the setting.
+    Keys the file leaves out keep their values in ``base``. Blank lines and
+    ``#`` comments are allowed; unknown or duplicate keys, unparsable values
+    and ``feature.descriptor = precomputed`` (which no cloud read from a
+    file can satisfy) are rejected naming the file and line, values the
+    config classes refuse naming the file and the setting.
     """
     path = os.fspath(path)
     with open(path, "r", encoding="utf-8") as handle:
@@ -414,11 +412,6 @@ def parse_config_file(path, base: PipelineConfig = PipelineConfig()) -> Pipeline
     top = sections.pop("pipeline")
     try:
         pipeline = replace(base, **top)
-        if "voxel_size" in top:
-            # the threshold PipelineConfig resolves for the new voxel size
-            sections["ransac"].setdefault(
-                "inlier_threshold", replace(pipeline, ransac=None).ransac.inlier_threshold
-            )
         blocks = {
             name: replace(getattr(pipeline, name), **values)
             for name, values in sections.items() if values
@@ -474,11 +467,12 @@ def read_pose_json(path) -> RigidTransform:
         raise FileFormatError(f"{path}: 'rotation' must be a list of 9 numbers")
     if not isinstance(translation, list) or len(translation) != 3:
         raise FileFormatError(f"{path}: 'translation' must be a list of 3 numbers")
-    try:
-        R = np.array([float(v) for v in rotation], dtype=np.float64).reshape(3, 3)
-        t = np.array([float(v) for v in translation], dtype=np.float64)
-    except (TypeError, ValueError):
-        raise FileFormatError(f"{path}: pose entries must be numbers") from None
+    # float() would also take JSON's true and false, and numeric strings
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+               for v in rotation + translation):
+        raise FileFormatError(f"{path}: pose entries must be numbers")
+    R = np.array(rotation, dtype=np.float64).reshape(3, 3)
+    t = np.array(translation, dtype=np.float64)
     try:
         return RigidTransform(R, t)
     except NotARotation as exc:

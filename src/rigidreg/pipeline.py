@@ -16,11 +16,8 @@ never sees all weights filtered: the weight mass it then has is 0, below
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 from .correspondence import (
     CorrespondenceSet,
@@ -41,6 +38,8 @@ from .errors import (
     NoConsensus,
     RegistrationFailed,
     TooFewCorrespondences,
+    _check_count,
+    _check_length,
 )
 from .geometry import PointCloud, voxel_downsample
 from .procrustes import normalize_weights, prefilter, solve
@@ -61,16 +60,10 @@ class PipelineConfig:
     instead. ``prefilter_tau`` is the one prefilter threshold: it governs
     weight normalization, the safeguard statistic and, as refinement gets
     the prefiltered weights, which pairs refinement sees. ``seed``, a
-    non-negative integer, drives the voxel subsampling draw. A ``ransac``
-    of None resolves to defaults with ``inlier_threshold = voxel_size``.
-
-    That resolved ``ransac`` is stored, so ``dataclasses.replace`` of a
-    built config keeps its threshold: ``replace(PipelineConfig(),
-    voxel_size=0.3).ransac.inlier_threshold`` is 0.05, where
-    ``PipelineConfig(voxel_size=0.3)`` gives 0.3. Replace both to move
-    both: ``replace(cfg, voxel_size=0.3, ransac=replace(cfg.ransac,
-    inlier_threshold=0.3))``. :func:`io.parse_config_file` already moves
-    the threshold with a ``voxel_size`` the file sets.
+    non-negative integer, drives the voxel subsampling draw. The default
+    ``ransac`` leaves ``inlier_threshold`` unset: the safeguard then reads
+    ``voxel_size`` when it runs, so ``dataclasses.replace(cfg,
+    voxel_size=...)`` moves the threshold too.
     """
 
     feature: FeatureConfig = FeatureConfig()
@@ -79,23 +72,19 @@ class PipelineConfig:
     safeguard_tau_s: float = 0.05
     prefilter_tau: float = 0.4
     refine: RefineConfig = RefineConfig()
-    ransac: RansacConfig | None = None
+    ransac: RansacConfig = RansacConfig(inlier_threshold=None)
     seed: int = 0
 
     def __post_init__(self) -> None:
         parse_weighter_spec(self.weighter)
-        if not (self.voxel_size > 0 and math.isfinite(self.voxel_size)):
-            raise ValueError("voxel_size must be finite and positive")
+        _check_length("voxel_size", self.voxel_size)
         if not 0.0 < self.safeguard_tau_s < 1.0:
             raise ValueError("safeguard_tau_s must lie in (0, 1)")
         if not 0.0 <= self.prefilter_tau < 1.0:
             raise ValueError("prefilter_tau must lie in [0, 1)")
-        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if self.ransac is None:
-            object.__setattr__(
-                self, "ransac", RansacConfig(inlier_threshold=self.voxel_size)
-            )
+        _check_count("seed", self.seed)
+        if not isinstance(self.ransac, RansacConfig):
+            raise ValueError(f"ransac must be a RansacConfig, got {self.ransac!r}")
 
 
 def parse_weighter_spec(spec: str) -> tuple[str, float | None]:
@@ -103,7 +92,7 @@ def parse_weighter_spec(spec: str) -> tuple[str, float | None]:
     ("heuristic", None) or ("oracle", TAU or None).
 
     Raises ValueError naming an unknown weighter or an oracle tau that is
-    not a positive number.
+    not a finite positive number.
     """
     if not isinstance(spec, str):
         raise ValueError(f"weighter must be a string, got {spec!r}")
@@ -112,10 +101,11 @@ def parse_weighter_spec(spec: str) -> tuple[str, float | None]:
     if spec.startswith("oracle:"):
         try:
             tau = float(spec[len("oracle:"):])
+            _check_length("oracle tau", tau)
         except ValueError:
-            tau = math.nan
-        if not tau > 0:
-            raise ValueError(f"bad oracle tau in {spec!r}: expected a positive number")
+            raise ValueError(
+                f"bad oracle tau in {spec!r}: expected a finite positive number"
+            ) from None
         return "oracle", tau
     raise ValueError(f"unknown weighter {spec!r} (expected uniform, heuristic or oracle[:TAU])")
 
@@ -175,9 +165,12 @@ def _core(
         except (TooFewCorrespondences, DegenerateConfiguration) as exc:
             fallback_reason = type(exc).__name__
 
+    ransac = cfg.ransac
+    if ransac.inlier_threshold is None:
+        ransac = replace(ransac, inlier_threshold=cfg.voxel_size)
     begin = time.perf_counter()
     try:
-        result = ransac_register(matches, source, target, cfg.ransac)
+        result = ransac_register(matches, source, target, ransac)
     except (TooFewCorrespondences, NoConsensus) as exc:
         raise RegistrationFailed(
             f"safeguard failed after {fallback_reason}: {exc}"

@@ -54,6 +54,8 @@ from .errors import (
     EmptyCorrespondences,
     NoConsensus,
     TooFewCorrespondences,
+    _check_count,
+    _check_length,
 )
 from .geometry import PointCloud, RigidTransform, is_rotation
 from .procrustes import NormalizedWeights, prefilter, solve, solve_stacked
@@ -75,24 +77,21 @@ _COLUMN_ALIGN = 8
 
 @dataclass(frozen=True)
 class RansacConfig:
+    """Safeguard knobs. An ``inlier_threshold`` of None stands for the
+    pipeline's ``voxel_size``; :func:`ransac_register` itself needs a length."""
+
     max_iterations: int = 10_000
-    inlier_threshold: float = 0.05
+    inlier_threshold: float | None = 0.05
     confidence: float = 0.999
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.max_iterations, (int, np.integer)):
-            raise ValueError(
-                f"max_iterations must be an integer, got {self.max_iterations!r}"
-            )
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-        if not (self.inlier_threshold > 0 and math.isfinite(self.inlier_threshold)):
-            raise ValueError("inlier_threshold must be finite and positive")
+        _check_count("max_iterations", self.max_iterations, 1)
+        if self.inlier_threshold is not None:
+            _check_length("inlier_threshold", self.inlier_threshold)
         if not 0.0 < self.confidence < 1.0:
             raise ValueError("confidence must lie in (0, 1)")
-        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        _check_count("seed", self.seed)
 
 
 def inlier_fraction(weights: WeightVector, tau: float) -> float:
@@ -279,6 +278,7 @@ def ransac_register(
     hypothesis (callers that branched here on a weight statistic overwrite
     it with theirs).
     """
+    _check_length("inlier_threshold", cfg.inlier_threshold)  # None is the pipeline's to fill
     n = len(matches)
     if n < 3:
         raise TooFewCorrespondences(f"RANSAC needs at least 3 pairs, got {n}")

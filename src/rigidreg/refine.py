@@ -25,14 +25,19 @@ its rotation once and rebuilds it once through the 6D map.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .correspondence import CorrespondenceSet, WeightVector
-from .errors import DegenerateRepresentation, NoActiveCorrespondences, NotARotation
+from .errors import (
+    DegenerateRepresentation,
+    NoActiveCorrespondences,
+    NotARotation,
+    _check_count,
+    _check_length,
+)
 from .geometry import F64, Mat3, PointCloud, RigidTransform, Vec3, is_rotation
 from .procrustes import NormalizedWeights, solve
 
@@ -71,14 +76,9 @@ class RefineConfig:
     convergence_tol: float = 1e-8
 
     def __post_init__(self) -> None:
-        if not (self.huber_delta > 0 and math.isfinite(self.huber_delta)):
-            raise ValueError("huber_delta must be finite and positive")
-        if not isinstance(self.max_iters, (int, np.integer)):
-            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-        if not (self.convergence_tol > 0 and math.isfinite(self.convergence_tol)):
-            raise ValueError("convergence_tol must be finite and positive")
+        _check_length("huber_delta", self.huber_delta)
+        _check_count("max_iters", self.max_iters, 1)
+        _check_length("convergence_tol", self.convergence_tol)
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,10 @@ SAFEGUARD_BRANCH = "safeguard"
 class RegistrationResult:
     """Final pose plus provenance.
 
-    ``inlier_fraction`` is the statistic the branch decision used:
-    sum of prefiltered weights over the correspondence count. ``trace`` is
+    From the pipeline, ``inlier_fraction`` is the statistic the branch
+    decision used: sum of prefiltered weights over the correspondence
+    count. From a direct :func:`ransac.ransac_register` call it is the
+    winning hypothesis's consensus ratio instead. ``trace`` is
     present only on the main branch. ``fallback_reason`` explains a
     safeguard diversion ("low_inlier_fraction" or the solver error name)
     and is None on the main branch. ``stage_seconds`` carries wall-clock

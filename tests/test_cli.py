@@ -135,7 +135,7 @@ def test_register_weight_size_mismatch_exits_one(capsys, tmp_path, cloud_pair):
                  "--weights", str(weights)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "weight file sized for 7x7" in captured.err
+    assert "sized 7x7" in captured.err
 
 
 def test_register_zero_weights_takes_safeguard(capsys, tmp_path, cloud_pair):
@@ -255,6 +255,24 @@ def test_benchmark_threshold_overrides(capsys, tmp_path):
     assert doc["te_threshold_m"] == 0.5
 
 
+def test_benchmark_refuses_a_non_finite_threshold(capsys, tmp_path):
+    code, report, _ = _run_benchmark_cli(tmp_path, "nan", ["--te-threshold", "nan"])
+    assert code == 1
+    assert "te_threshold must be finite" in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_benchmark_names_a_suite_line_with_a_negative_seed(capsys, tmp_path):
+    suite = tmp_path / "suite.txt"
+    suite.write_text(_SUITE_TEXT + "synthetic n_points=300 seed=-1\n")
+    report = tmp_path / "report.json"
+    code = main(["benchmark", "--suite", str(suite), "--report", str(report)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{suite}:3:" in err and "seed must be a non-negative integer" in err
+    assert not report.exists()
+
+
 def test_benchmark_outdoor_preset_thresholds(capsys, tmp_path):
     code, report, _ = _run_benchmark_cli(tmp_path, "out", ["--preset", "outdoor"])
     capsys.readouterr()
@@ -280,7 +298,7 @@ def test_benchmark_config_file_edits_the_preset(capsys, tmp_path, monkeypatch):
     capsys.readouterr()
     assert code == 0
     assert seen == [replace(outdoor_preset().pipeline, seed=3)]
-    assert seen[0].voxel_size == 0.30 and seen[0].ransac.inlier_threshold == 0.30
+    assert seen[0].voxel_size == 0.30 and seen[0].ransac.inlier_threshold is None
 
 
 def test_benchmark_missing_suite_exits_one(capsys, tmp_path):

@@ -380,6 +380,23 @@ def test_label_inliers_strict_threshold():
         label_inliers(matches, src, tgt, RigidTransform.identity(), 0.0)
 
 
+def test_oracle_tau_must_be_finite():
+    # an infinite tau labels every match an inlier
+    src = PointCloud(np.eye(3))
+    matches = CorrespondenceSet(np.array([[0, 1], [1, 2], [2, 0]]), 3, 3)
+    with pytest.raises(ValueError, match="tau must be finite"):
+        label_inliers(matches, src, src, RigidTransform.identity(), math.inf)
+    with pytest.raises(ValueError, match="tau must be finite"):
+        OracleWeighter(RigidTransform.identity(), math.inf)
+
+
+def test_feature_config_checks_radius_and_bins_for_every_descriptor():
+    with pytest.raises(ValueError, match="radius"):
+        FeatureConfig("precomputed", radius=-1.0)
+    with pytest.raises(ValueError, match="bins"):
+        FeatureConfig("precomputed", bins=0)
+
+
 def test_label_inliers_matches_construction(rng):
     tau = 0.05
     X = rng.uniform(-1.0, 1.0, size=(100, 3))

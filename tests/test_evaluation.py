@@ -109,6 +109,12 @@ def test_spec_validation():
         SyntheticPairSpec(transform_magnitude=(-1.0, 0.0))
 
 
+def test_spec_refuses_a_fractional_point_count():
+    # generate_pair would fail on it with a TypeError, outside any row
+    with pytest.raises(ValueError, match="n_points"):
+        SyntheticPairSpec(n_points=10.5)
+
+
 @pytest.mark.parametrize(
     "spec",
     [
@@ -211,7 +217,7 @@ def test_outdoor_preset_values():
     p = outdoor_preset()
     assert p.name == "outdoor"
     assert p.pipeline.voxel_size == 0.30
-    assert p.pipeline.ransac.inlier_threshold == 0.30
+    assert p.pipeline.ransac.inlier_threshold is None  # the safeguard reads voxel_size
     assert abs(p.re_threshold - math.radians(5.0)) < 1e-15
     assert p.te_threshold == 0.60
 
@@ -223,16 +229,15 @@ def test_outdoor_preset_is_indoor_scaled_by_six():
         ("voxel_size", indoor.voxel_size, outdoor.voxel_size),
         ("feature.radius", indoor.feature.radius, outdoor.feature.radius),
         ("refine.huber_delta", indoor.refine.huber_delta, outdoor.refine.huber_delta),
-        ("ransac.inlier_threshold", indoor.ransac.inlier_threshold,
-         outdoor.ransac.inlier_threshold),
     ]
     for name, small, large in lengths:
         assert math.isclose(large, 6.0 * small, rel_tol=1e-12), name
+    # both RANSAC thresholds are unset, so each reads its own voxel_size
+    assert indoor.ransac.inlier_threshold is None and outdoor.ransac.inlier_threshold is None
     # every other setting is indoor's
     assert dataclasses.replace(outdoor.feature, radius=indoor.feature.radius) == indoor.feature
     assert dataclasses.replace(outdoor.refine, huber_delta=indoor.refine.huber_delta) == indoor.refine
-    assert (dataclasses.replace(outdoor.ransac, inlier_threshold=indoor.ransac.inlier_threshold)
-            == indoor.ransac)
+    assert outdoor.ransac == indoor.ransac
     assert dataclasses.replace(outdoor, voxel_size=indoor.voxel_size, feature=indoor.feature,
                                refine=indoor.refine, ransac=indoor.ransac) == indoor
 
@@ -380,6 +385,23 @@ def test_run_benchmark_refuses_precomputed_descriptor(tmp_path, patch_cloud, mon
     cfg = PipelineConfig(feature=FeatureConfig("precomputed"))
     with pytest.raises(ValueError, match="precomputed"):
         run_benchmark(suite, cfg, math.radians(15.0), 0.30)
+    assert reads == []
+
+
+@pytest.mark.parametrize(
+    "re_threshold, te_threshold, name",
+    [(0.2, math.nan, "te_threshold"), (-1.0, 0.3, "re_threshold"),
+     (math.inf, 0.3, "re_threshold"), (0.2, 0.0, "te_threshold")],
+)
+def test_run_benchmark_refuses_bad_thresholds(tmp_path, monkeypatch, re_threshold,
+                                              te_threshold, name):
+    # nothing would count as a success, and every pair would still run
+    reads = []
+    monkeypatch.setattr(rigidreg.io, "read_ply", lambda path: reads.append(path))
+    suite = [FilePairSpec(str(tmp_path / "a.ply"), str(tmp_path / "b.ply"),
+                          str(tmp_path / "pose.json"))]
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        run_benchmark(suite, PipelineConfig(), re_threshold, te_threshold)
     assert reads == []
 
 

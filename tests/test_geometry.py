@@ -165,6 +165,13 @@ def test_voxel_rejects_bad_input():
         voxel_downsample(PointCloud(np.zeros((0, 3))), 0.1, seed=0)
 
 
+@pytest.mark.parametrize("voxel_size", [math.nan, math.inf])
+def test_voxel_rejects_a_non_finite_size(voxel_size):
+    # nan and inf would put every point in one cell
+    with pytest.raises(ValueError, match="voxel_size must be finite"):
+        voxel_downsample(PointCloud(np.eye(3)), voxel_size, seed=0)
+
+
 @settings(deadline=None, max_examples=25)
 @given(seed=st.integers(0, 10_000))
 def test_voxel_one_point_per_cell_property(seed):

@@ -358,7 +358,8 @@ def test_config_ransac_threshold_defaults_to_voxel_size(tmp_path):
     path = tmp_path / "partial.cfg"
     path.write_text("voxel_size = 0.2\nransac.max_iterations = 50\n")
     cfg = parse_config_file(path)
-    assert cfg.ransac.inlier_threshold == 0.2
+    # left unset, so the safeguard reads the file's voxel_size
+    assert cfg.ransac.inlier_threshold is None and cfg.voxel_size == 0.2
     assert cfg.ransac.max_iterations == 50
 
 
@@ -368,11 +369,15 @@ def test_config_file_edits_its_base(tmp_path):
     path = tmp_path / "edit.cfg"
     path.write_text("seed = 3\n")
     assert parse_config_file(path, base=base) == dataclasses.replace(base, seed=3)
-    # a new voxel size moves the threshold; the base's other RANSAC values stay
+    # a new voxel size moves the unset threshold with it; the base's RANSAC
+    # values stay, and a threshold the base sets stays too
     path.write_text("voxel_size = 0.2\nrefine.max_iters = 7\n")
     cfg = parse_config_file(path, base=base)
-    assert cfg.ransac == dataclasses.replace(base.ransac, inlier_threshold=0.2)
+    assert cfg.ransac == base.ransac and cfg.ransac.inlier_threshold is None
+    assert cfg.voxel_size == 0.2
     assert cfg.refine.max_iters == 7 and cfg.seed == 1
+    fixed = dataclasses.replace(base, ransac=dataclasses.replace(base.ransac, inlier_threshold=0.4))
+    assert parse_config_file(path, base=fixed).ransac.inlier_threshold == 0.4
     path.write_text("voxel_size = 0.2\nransac.inlier_threshold = 0.5\n")
     assert parse_config_file(path, base=base).ransac.inlier_threshold == 0.5
 
@@ -494,6 +499,23 @@ def test_suite_errors_are_located(tmp_path, content, fragment):
     assert fragment in str(err.value)
 
 
+def test_suite_refuses_a_negative_seed_at_its_line(tmp_path):
+    path = tmp_path / "suite.txt"
+    path.write_text("synthetic n_points=300\nsynthetic n_points=300 seed=-1\n")
+    with pytest.raises(FileFormatError) as err:
+        parse_suite_file(path)
+    assert f"{path}:2:" in str(err.value)
+    assert "seed must be a non-negative integer" in str(err.value)
+
+
+def test_config_file_refuses_an_infinite_oracle_tau(tmp_path):
+    path = tmp_path / "oracle.cfg"
+    path.write_text("weighter = oracle:inf\n")
+    with pytest.raises(FileFormatError) as err:
+        parse_config_file(path)
+    assert str(path) in str(err.value) and "bad oracle tau" in str(err.value)
+
+
 @pytest.mark.parametrize("bad", ["noise=inf", "max_rotation=nan"])
 def test_suite_rejects_non_finite_recipes(tmp_path, bad):
     path = tmp_path / "suite.txt"
@@ -549,6 +571,9 @@ def test_pose_file_round_trip(tmp_path):
         ('{"rotation": [1, 0, 0], "translation": [0, 0, 0]}', "'rotation' must be a list of 9"),
         ('{"rotation": [1,0,0,0,1,0,0,0,1], "translation": [0]}', "'translation' must be a list of 3"),
         ('{"rotation": [1,0,0,0,1,0,0,0,"x"], "translation": [0,0,0]}', "must be numbers"),
+        ('{"rotation": [true,0,0,0,true,0,0,0,true], "translation": [0,false,0]}',
+         "must be numbers"),
+        ('{"rotation": [1,0,0,0,1,0,0,0,1], "translation": [0,"0.5",0]}', "must be numbers"),
         ('{"rotation": [2,0,0,0,2,0,0,0,2], "translation": [0,0,0]}', "rotation"),
     ],
 )

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import fields, replace
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
@@ -16,6 +17,7 @@ import rigidreg
 from rigidreg import (
     CorrespondenceSet,
     EmptyCloud,
+    FeatureConfig,
     HeuristicWeighter,
     LengthMismatch,
     MAIN_BRANCH,
@@ -23,6 +25,7 @@ from rigidreg import (
     PipelineConfig,
     PointCloud,
     RansacConfig,
+    RefineConfig,
     RegistrationFailed,
     RigidTransform,
     SAFEGUARD_BRANCH,
@@ -30,6 +33,7 @@ from rigidreg import (
     UniformWeighter,
     WeightVector,
     generate_pair,
+    ransac_register,
     read_weight_file,
     register,
     register_with_correspondences,
@@ -140,16 +144,65 @@ def test_config_validation():
         PipelineConfig(seed=1.5)
 
 
+def _bad_knob_values():
+    """(class, field, value) for every numeric knob of the config classes:
+    an int knob must refuse a bool, a fraction and a negative number, a
+    float knob (a length or a ratio) nan, inf and -1. The declared type
+    sorts them, so a knob added later without its rule fails by name."""
+    for cls in (PipelineConfig, FeatureConfig, RefineConfig, RansacConfig,
+                SyntheticPairSpec):
+        for f in fields(cls):
+            if f.type == "int":
+                bad = (True, getattr(cls(), f.name) + 0.5, -1)
+            elif f.type.startswith("float"):
+                bad = (math.nan, math.inf, -1.0)
+            else:
+                continue
+            for value in bad:
+                yield pytest.param(cls, f.name, value, id=f"{cls.__name__}.{f.name}={value!r}")
+
+
+@pytest.mark.parametrize("cls, name, value", _bad_knob_values())
+def test_every_numeric_knob_refuses_bad_values(cls, name, value):
+    with pytest.raises(ValueError, match=name):
+        cls(**{name: value})
+
+
+def test_config_refuses_an_infinite_oracle_tau():
+    with pytest.raises(ValueError, match="bad oracle tau"):
+        PipelineConfig(weighter="oracle:inf")
+
+
 @pytest.mark.parametrize("weighter", ["psychic", "file:weights.dgrw", "oracle:-1", 3])
 def test_config_checks_the_weighter_when_built(weighter):
     with pytest.raises(ValueError):
         PipelineConfig(weighter=weighter)
 
 
-def test_config_default_ransac_threshold_tracks_voxel_size():
-    assert PipelineConfig(voxel_size=0.07).ransac.inlier_threshold == 0.07
+def test_config_default_ransac_threshold_tracks_voxel_size(monkeypatch, patch_cloud):
+    # the safeguard reads voxel_size when it runs, so replace() moves it too
+    seen = []
+
+    def spy(matches, source, target, cfg):
+        seen.append(cfg.inlier_threshold)
+        return ransac_register(matches, source, target, cfg)
+
+    monkeypatch.setattr(rigidreg.pipeline, "ransac_register", spy)
+    n = len(patch_cloud)
+    zeros = WeightVector(np.zeros(n))
     custom = RansacConfig(inlier_threshold=0.5)
-    assert PipelineConfig(voxel_size=0.07, ransac=custom).ransac.inlier_threshold == 0.5
+    for cfg in (PipelineConfig(voxel_size=0.07),
+                replace(PipelineConfig(), voxel_size=0.07),
+                PipelineConfig(voxel_size=0.07, ransac=custom)):
+        register_with_correspondences(_identity_matches(n), zeros, patch_cloud,
+                                      patch_cloud, cfg)
+    assert seen == [0.07, 0.07, 0.5]
+    assert replace(PipelineConfig(), voxel_size=0.3) == PipelineConfig(voxel_size=0.3)
+
+
+def test_config_refuses_a_missing_ransac_block():
+    with pytest.raises(ValueError, match="ransac must be a RansacConfig"):
+        PipelineConfig(ransac=None)
 
 
 def test_resolve_weighter_names():

@@ -69,6 +69,14 @@ def test_config_validation():
         RansacConfig(confidence=1.0)
 
 
+def test_ransac_register_needs_a_threshold():
+    # None stands for the pipeline's voxel_size, which only the pipeline knows
+    cloud = PointCloud(np.eye(3))
+    matches = CorrespondenceSet(np.column_stack([np.arange(3)] * 2), 3, 3)
+    with pytest.raises(ValueError, match="inlier_threshold"):
+        ransac_register(matches, cloud, cloud, RansacConfig(inlier_threshold=None))
+
+
 def test_inlier_fraction_hand_value():
     w = WeightVector(np.array([0.8, 0.2, 0.9, 0.5]))
     assert abs(inlier_fraction(w, 0.4) - 0.55) < 1e-15  # (0.8+0.9+0.5)/4
