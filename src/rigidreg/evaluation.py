@@ -107,8 +107,15 @@ class SyntheticPairSpec:
             raise ValueError("outlier_ratio must lie in [0, 1]")
         if not 0.0 <= self.noise_sigma < math.inf:
             raise ValueError("noise_sigma must be finite and non-negative")
-        if not all(0.0 <= m < math.inf for m in self.transform_magnitude):
-            raise ValueError("transform magnitudes must be finite and non-negative")
+        try:
+            rotation, translation = self.transform_magnitude
+        except (TypeError, ValueError):
+            rotation = translation = math.nan
+        if not (0.0 <= rotation < math.inf and 0.0 <= translation < math.inf):
+            raise ValueError(
+                "transform_magnitude must be two finite, non-negative numbers, "
+                f"got {self.transform_magnitude!r}"
+            )
         _check_count("seed", self.seed)
 
 

@@ -19,7 +19,6 @@ from typing import TypeAlias
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.spatial import cKDTree
 
 from .errors import EmptyCloud, NotARotation, _check_length
 
@@ -30,6 +29,8 @@ Vec3: TypeAlias = NDArray[F64]    # (3,)
 
 ORTHONORMALITY_TOL = 1e-9
 _EYE = np.eye(3)
+# blocked scans hold at most this many float64 values (0.5 MB) at a time
+_BLOCK_ELEMENTS = 2**16
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -153,9 +154,14 @@ def voxel_downsample(cloud: PointCloud, voxel_size: float, seed: int) -> PointCl
 
 
 class SpatialIndex:
-    """Exact Euclidean 1-nearest-neighbor index over a fixed set of vectors.
+    """Exact Euclidean 1-nearest-neighbor index over a fixed set of vectors,
+    built for descriptor vectors.
 
-    Ties are broken toward the lowest stored index, as a linear scan would.
+    A query is one exact linear scan, O(n * m * D) for n query rows
+    against m stored D-vectors, taken in blocks of query rows that hold at
+    most ``2**16`` distances (0.5 MB) at a time. Distances are the row
+    norms ``np.linalg.norm(data - q, axis=1)``, and ties go to the lowest
+    stored index, as a linear scan would.
     """
 
     def __init__(self, data: np.ndarray):
@@ -163,32 +169,91 @@ class SpatialIndex:
         if arr.ndim != 2 or arr.shape[0] == 0:
             raise EmptyCloud("index requires at least one vector")
         self._data = arr
-        self._tree = cKDTree(arr)
+        squares = np.einsum("ij,ij->i", arr, arr)
+        # columns (b, |b|^2): their product with the row (-2q, 1) is
+        # |b|^2 - 2 q.b, the squared distance to q less the |q|^2 every b shares
+        self._columns = np.ascontiguousarray(np.column_stack([arr, squares]).T)
+        self._largest_square = float(squares.max())
 
     def query(self, queries: np.ndarray) -> tuple[NDArray[np.int64], NDArray[F64]]:
         """Nearest stored index and distance for each query row."""
-        q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        # with one stored vector the second neighbor is at inf, never a tie
-        dist, idx = self._tree.query(q, k=2)
-        d1 = dist[:, 0].copy()
-        best = idx[:, 0].astype(np.int64)
-        # A second neighbor at the same distance signals a tie; re-resolve
-        # those queries against every candidate inside the tie radius.
-        tied = np.flatnonzero(dist[:, 1] <= d1)
-        for row in tied:
-            candidates = self._tree.query_ball_point(q[row], r=d1[row] * (1 + 1e-12) + 1e-300)
-            candidates = np.asarray(sorted(candidates), dtype=np.int64)
-            cd = np.linalg.norm(self._data[candidates] - q[row], axis=1)
-            pick = int(np.argmin(cd))  # argmin takes the first (lowest) index
-            best[row] = candidates[pick]
-            d1[row] = cd[pick]
-        return best, d1
+        q, first, _ = self._scan(queries)
+        return first, self._distances(q, first)
 
     def query_two(self, queries: np.ndarray) -> tuple[NDArray[F64], NDArray[F64]]:
         """Distances to the first and second nearest stored vectors.
 
         With a single stored vector the second distance is ``inf``.
         """
+        q, first, second = self._scan(queries)
+        if len(self._data) == 1:
+            return self._distances(q, first), np.full(len(q), np.inf)
+        return self._distances(q, first), self._distances(q, second)
+
+    def _distances(self, q: np.ndarray, picks: np.ndarray) -> NDArray[F64]:
+        return np.linalg.norm(self._data[picks] - q, axis=1)
+
+    def _scan(
+        self, queries: np.ndarray
+    ) -> tuple[NDArray[F64], NDArray[np.int64], NDArray[np.int64]]:
+        """The query rows as a 2-D array, and the nearest and
+        second-nearest stored index of each, by the distances and tie rule
+        of the class docstring.
+
+        Each block of rows takes one matrix product for its scores
+        ``s_j = |b_j|^2 - 2 q.b_j`` and keeps their three smallest. A row
+        whose three are more than ``margin`` apart is decided by the
+        scores. Any other row is decided by the exact distances of the
+        vectors scored within ``margin`` of its second smallest.
+
+        The margin covers float64 rounding. Let u be the unit roundoff, D
+        the dimension and ``Q = |q|^2 + max_j |b_j|^2``. A score is a dot
+        product of length D + 1 over a rounded |b|^2, so it is off from
+        its exact value by at most ``4 (D + 1) u Q``. A computed squared
+        distance is off by at most ``2 (D + 2) u Q``, and two distances
+        round to one value only if their squares, both below 2Q, lie
+        within ``8 u Q``. So a vector scored more than ``12 (D + 2) u Q``
+        above another is strictly farther by the exact distances, in
+        whatever order BLAS sums. The margin is a third above that bound,
+        and it grows with the squared norms, so unnormalized vectors are
+        matched exactly too.
+        """
         q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        dist, _ = self._tree.query(q, k=2)
-        return dist[:, 0].copy(), dist[:, 1].copy()
+        n, (m, dim) = len(q), self._data.shape
+        if q.ndim != 2 or q.shape[1] != dim:
+            raise ValueError(f"queries must be vectors of length {dim}, got shape {q.shape}")
+        rows = max(1, min(n, _BLOCK_ELEMENTS // m))
+        scores = np.empty((rows, m))
+        lifted = np.ones((rows, dim + 1))
+        at = np.arange(rows)
+        unit_roundoff = np.finfo(np.float64).eps / 2
+        margins = 16 * (dim + 2) * unit_roundoff * (
+            np.einsum("ij,ij->i", q, q) + self._largest_square)
+        first = np.empty(n, dtype=np.int64)
+        second = np.empty(n, dtype=np.int64)
+        # with one stored vector the second and third smallest scores are
+        # both inf; their difference is nan, which leaves the row decided
+        with np.errstate(invalid="ignore"):
+            for start in range(0, n, rows):
+                block = q[start:start + rows]
+                k = len(block)
+                np.multiply(block, -2.0, out=lifted[:k, :dim])
+                s = np.matmul(lifted[:k], self._columns, out=scores[:k])
+                i1 = s.argmin(axis=1)
+                v1 = s[at[:k], i1]
+                s[at[:k], i1] = np.inf
+                i2 = s.argmin(axis=1)
+                v2 = s[at[:k], i2]
+                s[at[:k], i2] = np.inf
+                margin = margins[start:start + k]
+                unsure = np.flatnonzero((v2 - v1 <= margin) | (s.min(axis=1) - v2 <= margin))
+                for row in unsure:
+                    s[row, i1[row]] = v1[row]
+                    s[row, i2[row]] = v2[row]
+                    candidates = np.flatnonzero(s[row] <= v2[row] + margin[row])
+                    exact = np.linalg.norm(self._data[candidates] - block[row], axis=1)
+                    # a stable sort keeps the lower index first among equal distances
+                    i1[row], i2[row] = candidates[np.argsort(exact, kind="stable")[:2]]
+                first[start:start + k] = i1
+                second[start:start + k] = i2
+        return q, first, second

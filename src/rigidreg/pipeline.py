@@ -83,8 +83,11 @@ class PipelineConfig:
         if not 0.0 <= self.prefilter_tau < 1.0:
             raise ValueError("prefilter_tau must lie in [0, 1)")
         _check_count("seed", self.seed)
-        if not isinstance(self.ransac, RansacConfig):
-            raise ValueError(f"ransac must be a RansacConfig, got {self.ransac!r}")
+        for name, kind in (("feature", FeatureConfig), ("refine", RefineConfig),
+                           ("ransac", RansacConfig)):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
 
 
 def parse_weighter_spec(spec: str) -> tuple[str, float | None]:

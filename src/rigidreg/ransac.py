@@ -57,7 +57,7 @@ from .errors import (
     _check_count,
     _check_length,
 )
-from .geometry import PointCloud, RigidTransform, is_rotation
+from .geometry import _BLOCK_ELEMENTS, PointCloud, RigidTransform, is_rotation
 from .procrustes import NormalizedWeights, prefilter, solve, solve_stacked
 from .results import SAFEGUARD_BRANCH, RegistrationResult
 
@@ -68,7 +68,6 @@ _POWER_ITERATIONS = 10
 # among the top n* matches reaches the bound by accident
 _PSI = 0.05
 _FIRST_BLOCK = 64
-_BLOCK_ELEMENTS = 2**16
 # BLAS may round a ragged tail of gemm columns differently from the
 # single-transform product; residual planes are padded to this width so
 # every column matches ``RigidTransform.apply`` bit for bit
@@ -158,9 +157,10 @@ def _rank(Xm: np.ndarray, Ym: np.ndarray, sigma: float) -> tuple[np.ndarray, flo
     # entry from 0.0 and adds the stored entries in order, which fixes every
     # step bit for bit. Entries lie in [0, 1], so 10 products stay below
     # n**10 and need no rescaling between steps
+    lower_half = upper.T
     v = np.ones(n)
     for _ in range(_POWER_ITERATIONS):
-        v = upper @ v + upper.T @ v
+        v = upper @ v + lower_half @ v
     beta = min(max(2.0 * close / n / n, 1.0 / n), 0.5)
     return np.argsort(-v, kind="stable"), beta
 

@@ -134,6 +134,14 @@ def test_spec_rejects_non_finite_recipes(spec):
         SyntheticPairSpec(**spec)
 
 
+@pytest.mark.parametrize("magnitude", [(1.0,), (1.0, 0.5, 0.5), 1.0, ()])
+def test_spec_requires_two_magnitudes(magnitude):
+    # generate_pair reads both entries; one alone built and then raised
+    # IndexError there
+    with pytest.raises(ValueError, match="transform_magnitude must be two"):
+        SyntheticPairSpec(n_points=50, transform_magnitude=magnitude)
+
+
 def test_generate_pair_deterministic():
     spec = SyntheticPairSpec(n_points=120, overlap_ratio=0.7, noise_sigma=0.01,
                              outlier_ratio=0.2, seed=9)

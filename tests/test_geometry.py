@@ -1,6 +1,8 @@
 """Transforms, voxel downsampling, and the exact nearest-neighbor index."""
 
+import importlib
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -251,3 +253,120 @@ def test_index_agrees_with_scan_under_duplicates(seed):
     for row in range(20):
         want, _ = nearest_linear(base, queries[row])
         assert got[row] == want
+
+
+def _sorted_scan(data, query):
+    """The two smallest row distances of a linear scan (inf stands in for a
+    missing second)."""
+    dist = np.sort(np.linalg.norm(data - query, axis=1))
+    return dist[0], (dist[1] if len(dist) > 1 else math.inf)
+
+
+def _check_against_scan(data, queries):
+    index = SpatialIndex(data)
+    idx, dist = index.query(queries)
+    d1, d2 = index.query_two(queries)
+    for row, q in enumerate(np.atleast_2d(queries)):
+        want, want_dist = nearest_linear(data, q)
+        assert idx[row] == want
+        assert (d1[row], d2[row]) == _sorted_scan(data, q)
+        # nearest_linear sums each square norm in another order
+        assert dist[row] == d1[row] and math.isclose(dist[row], want_dist, rel_tol=1e-15)
+
+
+def test_scan_breaks_exact_ties_and_duplicates_toward_lowest_index(rng):
+    base = rng.normal(size=(6, 11))
+    # rows 2 and 7 coincide, as do 4, 5 and 9; the queries sit on them
+    data = np.concatenate([base[:2], base[2:3], base[3:], base[2:3], base[4:5], base[4:5]])
+    _check_against_scan(data, data)
+    # equidistant from two stored vectors, with a third further out
+    data = np.array([[2.0, 0.0], [0.0, 0.0], [-2.0, 0.0], [0.0, 5.0]])
+    _check_against_scan(data, np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]))
+    assert SpatialIndex(data).query(np.array([1.0, 0.0]))[0].tolist() == [0]
+
+
+def test_scan_separates_distances_one_ulp_apart():
+    near = 0.7
+    far = np.nextafter(near, 1.0)
+    for data in (np.array([[far, 0.0, 0.0], [near, 0.0, 0.0], [3.0, 0.0, 0.0]]),
+                 np.array([[near, 0.0, 0.0], [far, 0.0, 0.0], [-far, 0.0, 0.0]])):
+        _check_against_scan(data, np.zeros(3))
+    # seen from (1, 0, 0), the first two rows round to one |b|^2 and so
+    # to one score; only their distances, 1e-3 and 1 ulp more, differ
+    near = 1e-3
+    far = np.nextafter(near, 1.0)
+    data = np.array([[1.0, 0.0, far], [1.0, near, 0.0], [1.0, 0.0, 2e-3]])
+    _check_against_scan(data, np.array([1.0, 0.0, 0.0]))
+    assert SpatialIndex(data).query(np.array([1.0, 0.0, 0.0]))[0].tolist() == [1]
+    # the same pair competing for second place behind an exact match
+    data = np.concatenate([data[:2], [[1.0, 0.0, 0.0]]])
+    _check_against_scan(data, np.array([1.0, 0.0, 0.0]))
+    assert SpatialIndex(data).query_two(np.array([1.0, 0.0, 0.0]))[1].tolist() == [near]
+
+
+def test_scan_handles_zero_rows():
+    data = np.zeros((5, 11))
+    data[3, 0] = 1.0
+    _check_against_scan(data, np.zeros((2, 11)))
+    _check_against_scan(data, np.eye(11)[:3])
+
+
+def test_scan_is_exact_on_unnormalized_rows(rng):
+    data = rng.normal(size=(300, 11)) * 1e6
+    # near-duplicates a few ulps of the row norm apart, and exact copies
+    data[150:160] = data[:10] * (1.0 + 4.0 * np.finfo(np.float64).eps)
+    data[160:170] = data[:10]
+    _check_against_scan(data, np.concatenate([data[:20], rng.normal(size=(20, 11)) * 1e6]))
+    # 1e-2 apart at 1e6 from the origin: the rounding of the scores, about
+    # 1e-4, exceeds most gaps between squared distances, about 1e-5
+    offset = np.zeros(11)
+    offset[0] = 1e6
+    data = offset + rng.normal(size=(300, 11)) * 1e-2
+    _check_against_scan(data, offset + rng.normal(size=(40, 11)) * 1e-2)
+
+
+def test_scan_with_one_stored_vector():
+    data = np.array([[1.0, 2.0, 2.0]])
+    _check_against_scan(data, np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 2.0]]))
+    d1, d2 = SpatialIndex(data).query_two(np.zeros((2, 3)))
+    assert d1.tolist() == [3.0, 3.0] and math.isinf(d2[0]) and math.isinf(d2[1])
+
+
+def test_scan_takes_a_one_dimensional_query(rng):
+    data = rng.normal(size=(40, 11))
+    idx, dist = SpatialIndex(data).query(data[7] + 1e-3)
+    d1, d2 = SpatialIndex(data).query_two(data[7] + 1e-3)
+    assert idx.shape == dist.shape == d1.shape == d2.shape == (1,)
+    _check_against_scan(data, data[7] + 1e-3)
+
+
+def test_scan_refuses_a_query_of_another_dimension():
+    with pytest.raises(ValueError, match="length 11"):
+        SpatialIndex(np.zeros((5, 11))).query(np.zeros((2, 3)))
+
+
+def test_scan_results_do_not_depend_on_the_block_size(monkeypatch, rng):
+    geometry = importlib.import_module("rigidreg.geometry")
+    grid = rng.integers(0, 3, size=(200, 5)).astype(np.float64)  # many ties
+    cases = [(grid, rng.integers(0, 3, size=(90, 5)).astype(np.float64)),
+             (rng.normal(size=(500, 11)), rng.normal(size=(300, 11)))]
+    default = [(SpatialIndex(d).query(q), SpatialIndex(d).query_two(q)) for d, q in cases]
+    monkeypatch.setattr(geometry, "_BLOCK_ELEMENTS", 1)  # one query row per block
+    for (d, q), ((idx, dist), (d1, d2)) in zip(cases, default):
+        got_idx, got_dist = SpatialIndex(d).query(q)
+        got_d1, got_d2 = SpatialIndex(d).query_two(q)
+        assert np.array_equal(got_idx, idx) and np.array_equal(got_dist, dist)
+        assert np.array_equal(got_d1, d1) and np.array_equal(got_d2, d2)
+
+
+def test_scan_memory_stays_bounded(rng):
+    # a whole 4000 x 4000 distance matrix would take 128 MB
+    index = SpatialIndex(rng.normal(size=(4000, 11)))
+    queries = rng.normal(size=(4000, 11))
+    tracemalloc.start()
+    try:
+        index.query(queries)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20

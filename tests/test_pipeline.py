@@ -205,6 +205,17 @@ def test_config_refuses_a_missing_ransac_block():
         PipelineConfig(ransac=None)
 
 
+def test_config_refuses_a_missing_feature_block():
+    # it used to build, and register then died with an AttributeError
+    with pytest.raises(ValueError, match="feature must be a FeatureConfig"):
+        PipelineConfig(feature=None)
+
+
+def test_config_refuses_a_missing_refine_block():
+    with pytest.raises(ValueError, match="refine must be a RefineConfig"):
+        PipelineConfig(refine=None)
+
+
 def test_resolve_weighter_names():
     assert isinstance(resolve_weighter("uniform"), UniformWeighter)
     assert isinstance(resolve_weighter("heuristic"), HeuristicWeighter)
