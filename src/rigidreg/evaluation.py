@@ -23,7 +23,7 @@ from . import io  # readers looked up at call time, so wrappers of them see ever
 from .correspondence import CorrespondenceSet, FeatureConfig
 from .errors import FileFormatError, RegistrationError, _check_count, _check_length
 from .geometry import F64, PointCloud, RigidTransform
-from .pipeline import PipelineConfig, register, resolve_weighter
+from .pipeline import PipelineConfig, register, resolve_weighter, worker_count
 from .refine import RefineConfig
 from .results import RegistrationResult
 
@@ -398,15 +398,6 @@ def outdoor_preset() -> Preset:
 
 
 PRESETS = {"indoor": indoor_preset, "outdoor": outdoor_preset}
-
-
-def worker_count() -> int:
-    """Parallelism cap from the DGR_THREADS environment variable; 0 or
-    unset means the hardware default."""
-    raw = os.environ.get("DGR_THREADS", "").strip()
-    if raw and not raw.isdecimal():
-        raise ValueError(f"DGR_THREADS must be a non-negative integer, got {raw!r}")
-    return int(raw or 0) or os.cpu_count() or 1
 
 
 def _materialize(entry):

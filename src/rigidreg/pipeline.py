@@ -16,7 +16,9 @@ never sees all weights filtered: the weight mass it then has is 0, below
 
 from __future__ import annotations
 
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 from .correspondence import (
@@ -27,6 +29,7 @@ from .correspondence import (
     UniformWeighter,
     WeightProvider,
     WeightVector,
+    _describe_pair,
     compute_features,
     match_nearest,
     weigh,
@@ -130,6 +133,58 @@ def resolve_weighter(spec: str, ground_truth=None) -> WeightProvider:
     return OracleWeighter(ground_truth, argument)
 
 
+def worker_count() -> int:
+    """Parallelism cap from the DGR_THREADS environment variable; 0 or
+    unset means the CPUs this process may run on (its affinity mask, not
+    the host's CPU count). It caps :func:`run_benchmark`'s pool, and it
+    caps description: at 1, :func:`register` describes both clouds on the
+    calling thread, without its helper thread."""
+    raw = os.environ.get("DGR_THREADS", "").strip()
+    if raw and not raw.isdecimal():
+        raise ValueError(f"DGR_THREADS must be a non-negative integer, got {raw!r}")
+    pinned = int(raw or 0)
+    if pinned:
+        return pinned
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _start_describer() -> None:
+    """Make the helper that takes part in description: one long-lived
+    thread, started at its first task. A forked child inherits the
+    executor but not its thread, so it makes its own."""
+    global _describer
+    _describer = ThreadPoolExecutor(max_workers=1, thread_name_prefix="rigidreg-describe")
+
+
+_start_describer()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_start_describer)
+
+
+# the fewest points both clouds need for the helper thread to take part.
+# On smaller clouds the histograms are short: one caller gains little, and
+# callers on a pool (run_benchmark) already keep the cores busy, where the
+# helper's hand-offs slowed suites of 1k-point pairs by 3-12 %
+_CONCURRENT_POINTS = 2000
+
+
+def _describe(source: PointCloud, target: PointCloud, feature: FeatureConfig):
+    """Both clouds with features attached. ``local_histogram`` clouds of at
+    least ``_CONCURRENT_POINTS`` points each are described at once, with
+    the helper thread taking the work that allocates little (see
+    ``correspondence._describe_pair``), when :func:`worker_count` is above
+    1; otherwise, and for ``precomputed``, each cloud is described in turn
+    on the calling thread, the source first."""
+    if (feature.descriptor != "local_histogram" or worker_count() < 2
+            or min(len(source), len(target)) < _CONCURRENT_POINTS):
+        return compute_features(source, feature), compute_features(target, feature)
+    source_f, target_f = _describe_pair(source.points, target.points, feature.radius,
+                                        feature.bins, _describer)
+    return source.with_features(source_f), target.with_features(target_f)
+
+
 def _core(
     matches: CorrespondenceSet,
     weights: WeightVector,
@@ -210,8 +265,7 @@ def register(
         raise EmptyCloud("fewer than 3 points survive voxel downsampling")
 
     begin = time.perf_counter()
-    source_d = compute_features(source_d, cfg.feature)
-    target_d = compute_features(target_d, cfg.feature)
+    source_d, target_d = _describe(source_d, target_d, cfg.feature)
     stage_seconds["features"] = time.perf_counter() - begin
 
     begin = time.perf_counter()

@@ -55,15 +55,14 @@ def quaternion_angle(r_a: np.ndarray, r_b: np.ndarray) -> float:
 
 def nearest_linear(data: np.ndarray, query: np.ndarray):
     """Plain linear scan; ties resolved to the lowest index by scanning in
-    order with a strict improvement test."""
+    order with a strict improvement test. Distances are row norms over
+    ``axis=1``, the same float sums as :func:`nearest_bruteforce`."""
+    dist = np.linalg.norm(data - query, axis=1)
     best = 0
-    best_d = float(np.linalg.norm(data[0] - query))
     for idx in range(1, data.shape[0]):
-        d = float(np.linalg.norm(data[idx] - query))
-        if d < best_d:
+        if dist[idx] < dist[best]:
             best = idx
-            best_d = d
-    return best, best_d
+    return best, float(dist[best])
 
 
 def nearest_bruteforce(data: np.ndarray, queries: np.ndarray):

@@ -292,6 +292,25 @@ def test_descriptor_memory_stays_bounded():
     assert peak < 18 * 2**20
 
 
+def test_distance_histogram_holds_no_pair_sized_array():
+    # the dense cloud above has about 0.5M neighbor pairs. The histogram
+    # pass takes them in chunks of 2**14, a few chunk-sized arrays at once
+    # (about 1 MB); a float64 per pair alone takes about 4 MB here, and a
+    # whole-list pass peaks at about 11 MB
+    cloud = _recipe_clouds(_DENSE_RECIPE, 0.02, 11)[0]
+    module = importlib.import_module("rigidreg.correspondence")
+    row = module._neighbor_rows(cloud.points, 0.25)
+    pairs = (row.shape[0] - len(cloud)) // 2
+    tracemalloc.start()
+    try:
+        module._distance_histogram(cloud.points, row, 0.25, 8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pairs > 400_000
+    assert peak < 8 * pairs
+
+
 def test_descriptor_frees_the_pair_list_before_the_product(monkeypatch):
     # tracemalloc does not see the (e, 2) array that query_pairs returns
     # (7.6 MB on the dense cloud above), so that bound cannot tell whether

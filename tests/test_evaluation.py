@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -284,6 +285,16 @@ def test_worker_count_env(monkeypatch):
     monkeypatch.setenv("DGR_THREADS", "junk")
     with pytest.raises(ValueError):
         worker_count()
+
+
+def test_worker_count_follows_cpu_affinity(monkeypatch):
+    # a process pinned to one CPU of a many-CPU host gets one worker
+    monkeypatch.delenv("DGR_THREADS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert worker_count() == 1
+    monkeypatch.setenv("DGR_THREADS", "3")
+    assert worker_count() == 3
 
 
 @pytest.mark.parametrize("raw", ["abc", "-2", "1.5"])

@@ -270,8 +270,7 @@ def _check_against_scan(data, queries):
         want, want_dist = nearest_linear(data, q)
         assert idx[row] == want
         assert (d1[row], d2[row]) == _sorted_scan(data, q)
-        # nearest_linear sums each square norm in another order
-        assert dist[row] == d1[row] and math.isclose(dist[row], want_dist, rel_tol=1e-15)
+        assert dist[row] == d1[row] == want_dist
 
 
 def test_scan_breaks_exact_ties_and_duplicates_toward_lowest_index(rng):

@@ -1,11 +1,16 @@
 """End-to-end registration: branch selection, diversion reasons, timings."""
 
 import ast
+import importlib
 import inspect
 import math
 import os
+import signal
 import subprocess
 import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
@@ -21,6 +26,7 @@ from rigidreg import (
     HeuristicWeighter,
     LengthMismatch,
     MAIN_BRANCH,
+    MissingFeatures,
     OracleWeighter,
     PipelineConfig,
     PointCloud,
@@ -502,3 +508,228 @@ def test_weights_from_file_give_bitwise_identical_result(tmp_path):
     np.testing.assert_array_equal(in_memory.transform.rotation, from_file.transform.rotation)
     np.testing.assert_array_equal(in_memory.transform.translation, from_file.transform.translation)
     assert in_memory.inlier_fraction == from_file.inlier_fraction
+
+
+# ---------------------------------------------------------------------------
+# describing the two clouds at once
+# ---------------------------------------------------------------------------
+
+_pipeline = importlib.import_module("rigidreg.pipeline")
+_correspondence = importlib.import_module("rigidreg.correspondence")
+_HELPER = "rigidreg-describe"
+
+
+def _record_description(monkeypatch):
+    """Wrap the descriptor's histogram and finishing steps and the
+    pipeline's matcher; the returned lists get the thread name of each
+    step and (source features, target features, match pairs) per match."""
+    threads, matched = [], []
+    histogram = _correspondence._distance_histogram
+    descriptor = _correspondence._descriptor
+    match = _pipeline.match_nearest
+
+    def record_histogram(*args):
+        threads.append(threading.current_thread().name)
+        return histogram(*args)
+
+    def record_descriptor(*args):
+        threads.append(threading.current_thread().name)
+        return descriptor(*args)
+
+    def record_match(source, target):
+        matches = match(source, target)
+        matched.append((source.features, target.features, matches.pairs))
+        return matches
+
+    monkeypatch.setattr(_correspondence, "_distance_histogram", record_histogram)
+    monkeypatch.setattr(_correspondence, "_descriptor", record_descriptor)
+    monkeypatch.setattr(_pipeline, "match_nearest", record_match)
+    return threads, matched
+
+
+def _assert_same_registration(a, b):
+    assert a.transform.rotation.tobytes() == b.transform.rotation.tobytes()
+    assert a.transform.translation.tobytes() == b.transform.translation.tobytes()
+    assert (a.branch, a.fallback_reason) == (b.branch, b.fallback_reason)
+    assert a.inlier_fraction == b.inlier_fraction
+
+
+def _assert_same_matching(a, b):
+    for got, want in zip(a, b):
+        assert got.tobytes() == want.tobytes()
+
+
+def _dense_pair():
+    # about 3.8k points per cloud survive 2 cm voxels: above the size at
+    # which the helper thread takes part
+    pair = generate_pair(SyntheticPairSpec(n_points=6000, overlap_ratio=1.0,
+                                           noise_sigma=0.002, outlier_ratio=0.0, seed=21))
+    return pair, PipelineConfig(voxel_size=0.02), OracleWeighter(pair.transform, 0.1)
+
+
+def _outlier_pair():
+    pair = generate_pair(SyntheticPairSpec(n_points=1000, overlap_ratio=0.8,
+                                           noise_sigma=0.005, outlier_ratio=0.3, seed=22))
+    return pair, PipelineConfig(), None
+
+
+@pytest.mark.parametrize("make", [_dense_pair, _outlier_pair], ids=["dense", "outliers"])
+def test_concurrent_and_serial_description_agree(monkeypatch, make):
+    pair, cfg, weighter = make()
+    runs = {}
+    for threads in (None, "2", "1"):
+        if threads is None:
+            monkeypatch.delenv("DGR_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("DGR_THREADS", threads)
+        names, matched = _record_description(monkeypatch)
+        result = register(pair.source, pair.target, cfg, weighter=weighter)
+        runs[threads] = names, matched[0], result
+    for threads in (None, "2"):
+        _assert_same_matching(runs[threads][1], runs["1"][1])
+        _assert_same_registration(runs[threads][2], runs["1"][2])
+    on_helper = [name.startswith(_HELPER) for name in runs["2"][0]]
+    # both histograms and one cloud's last step of the dense pair, and
+    # nothing of the small pair
+    assert sum(on_helper) == (3 if make is _dense_pair else 0)
+    assert not any(name.startswith(_HELPER) for name in runs["1"][0])
+
+
+def _featured_clouds(source_has, target_has):
+    # sizes above the helper's threshold, kept whole by a 1 mm voxel
+    rng = np.random.default_rng(5)
+    clouds = []
+    for n, has in ((2500, source_has), (2600, target_has)):
+        points = rng.uniform(0.0, 1.0, size=(n, 3))
+        clouds.append(PointCloud(points, rng.normal(size=(n, 4)) if has else None))
+    return clouds
+
+
+@pytest.mark.parametrize("threads", ["2", "1"])
+@pytest.mark.parametrize("source_has, target_has, raised_by",
+                         [(False, True, 2500), (True, False, 2600), (False, False, 2500)])
+def test_precomputed_without_features_raises_the_source_error_first(
+        monkeypatch, threads, source_has, target_has, raised_by):
+    monkeypatch.setenv("DGR_THREADS", threads)
+    compute = _pipeline.compute_features
+
+    def tagged(cloud, cfg):
+        try:
+            return compute(cloud, cfg)
+        except MissingFeatures as exc:
+            raise MissingFeatures(f"{len(cloud)} points") from exc
+
+    monkeypatch.setattr(_pipeline, "compute_features", tagged)
+    source, target = _featured_clouds(source_has, target_has)
+    cfg = PipelineConfig(feature=FeatureConfig("precomputed"), voxel_size=0.001)
+    with pytest.raises(MissingFeatures, match=f"^{raised_by} points$"):
+        register(source, target, cfg)
+
+
+@pytest.mark.parametrize("caller_fails", [False, True])
+def test_register_returns_after_the_helper_is_done(monkeypatch, caller_fails):
+    monkeypatch.setenv("DGR_THREADS", "2")
+    histogram = _correspondence._distance_histogram
+    moment_sums = _correspondence._moment_sums
+    started = threading.Event()
+    begun, ended = [], []
+
+    def slow_histogram(*args):
+        if threading.current_thread().name.startswith(_HELPER):
+            begun.append(True)
+            started.set()
+            time.sleep(0.3)
+            out = histogram(*args)
+            ended.append(True)
+            return out
+        return histogram(*args)
+
+    def failing_sums(*args):
+        # a helper task that has not started would be taken back instead
+        assert started.wait(10.0)
+        if caller_fails:
+            raise RuntimeError("caller")
+        return moment_sums(*args)
+
+    monkeypatch.setattr(_correspondence, "_distance_histogram", slow_histogram)
+    monkeypatch.setattr(_correspondence, "_moment_sums", failing_sums)
+    pair, cfg, weighter = _dense_pair()
+    if caller_fails:
+        with pytest.raises(RuntimeError, match="^caller$"):
+            register(pair.source, pair.target, cfg, weighter=weighter)
+    else:
+        register(pair.source, pair.target, cfg, weighter=weighter)
+    assert begun and len(ended) == len(begun)
+
+
+def test_a_busy_helper_gives_its_work_back(monkeypatch):
+    monkeypatch.setenv("DGR_THREADS", "2")
+    pair, cfg, weighter = _dense_pair()
+    release = threading.Event()
+    blocker = _pipeline._describer.submit(release.wait, 60)
+    try:
+        names, matched = _record_description(monkeypatch)
+        busy = register(pair.source, pair.target, cfg, weighter=weighter)
+        # returned without waiting for the helper to reach the tasks it gave back
+        assert not blocker.done()
+    finally:
+        release.set()
+        blocker.result(timeout=60)
+    assert names == [threading.current_thread().name] * 4
+    monkeypatch.setenv("DGR_THREADS", "1")
+    _, serial_matched = _record_description(monkeypatch)
+    serial = register(pair.source, pair.target, cfg, weighter=weighter)
+    _assert_same_matching(matched[0], serial_matched[0])
+    _assert_same_registration(busy, serial)
+
+
+def test_callers_on_many_threads_share_the_helper(monkeypatch):
+    # more callers than cores, with the interpreter switching threads
+    # often: every registration must equal the serial one
+    monkeypatch.setenv("DGR_THREADS", "2")
+    pair, cfg, weighter = _dense_pair()
+    expected = register(pair.source, pair.target, cfg, weighter=weighter)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            calls = [pool.submit(register, pair.source, pair.target, cfg, weighter=weighter)
+                     for _ in range(6)]
+            results = [call.result(timeout=120) for call in calls]
+    finally:
+        sys.setswitchinterval(interval)
+    for result in results:
+        _assert_same_registration(result, expected)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_describes_with_its_own_helper(monkeypatch):
+    # the child inherits the parent's executor without its thread; it
+    # must start a helper of its own rather than describe everything serially
+    monkeypatch.setenv("DGR_THREADS", "2")
+    pair, cfg, weighter = _dense_pair()
+    names, _ = _record_description(monkeypatch)
+    expected = register(pair.source, pair.target, cfg, weighter=weighter)
+    assert any(name.startswith(_HELPER) for name in names)
+    pid = os.fork()
+    if pid == 0:  # pragma: no cover - the child reports through its exit status
+        status = 1
+        try:
+            names.clear()
+            got = register(pair.source, pair.target, cfg, weighter=weighter)
+            same = got.transform.rotation.tobytes() == expected.transform.rotation.tobytes()
+            helped = any(name.startswith(_HELPER) for name in names)
+            status = 0 if same and helped else 1
+        finally:
+            os._exit(status)
+    deadline = time.monotonic() + 120.0
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child did not finish its registration")
+        time.sleep(0.05)
+    assert os.waitstatus_to_exitcode(status) == 0
