@@ -8,7 +8,7 @@ as the built-in heuristics.
 
 from __future__ import annotations
 
-from concurrent.futures import Executor, wait
+from concurrent.futures import Executor, Future, wait
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
@@ -222,6 +222,39 @@ def _local_histogram(points: np.ndarray, radius: float, bins: int) -> np.ndarray
     return _descriptor(hist, _moment_sums(points, row))
 
 
+class _HandOff:
+    """The tasks one call gives a ``helper`` executor, as a context manager.
+
+    :meth:`start` submits a task. :meth:`finish` returns its result, and
+    runs it on the calling thread instead when the helper has not started
+    it, because another caller's task keeps it busy. Leaving the block,
+    however it is left, drops the tasks the helper has not started and
+    waits for the others, so the call returns, or raises, only once the
+    helper is done with its tasks.
+    """
+
+    def __init__(self, helper: Executor):
+        self._helper = helper
+        self._submitted: list[Future] = []
+
+    def __enter__(self) -> "_HandOff":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        for future in self._submitted:
+            future.cancel()
+        wait([future for future in self._submitted if not future.cancelled()])
+
+    def start(self, fn, *args):
+        self._submitted.append(self._helper.submit(fn, *args))
+        return self._submitted[-1], fn, args
+
+    @staticmethod
+    def finish(task):
+        future, fn, args = task
+        return fn(*args) if future.cancel() else future.result()
+
+
 def _describe_pair(source: np.ndarray, target: np.ndarray, radius: float, bins: int,
                    helper: Executor) -> tuple[np.ndarray, np.ndarray]:
     """``_local_histogram`` of two clouds at once: the calling thread makes
@@ -232,37 +265,22 @@ def _describe_pair(source: np.ndarray, target: np.ndarray, radius: float, bins: 
     adjacency next to the other cloud's rows, and the helper's memory
     stays small, whatever the allocator keeps for it between calls.
 
-    A task the helper has not started (it is busy with another caller's)
-    is taken back and run here. Returns, or raises, only once the helper
-    is done with every task of this pair. The features are bit-identical
-    to two ``_local_histogram`` calls.
+    Tasks are handed off as :class:`_HandOff` describes. The features are
+    bit-identical to two ``_local_histogram`` calls.
     """
-    submitted = []
-
-    def start(fn, *args):
-        submitted.append(helper.submit(fn, *args))
-        return submitted[-1], fn, args
-
-    def finish(task):
-        future, fn, args = task
-        return fn(*args) if future.cancel() else future.result()
-
-    try:
+    with _HandOff(helper) as tasks:
         source_row = _neighbor_rows(source, radius)
-        source_hist = start(_distance_histogram, source, source_row, radius, bins)
+        source_hist = tasks.start(_distance_histogram, source, source_row, radius, bins)
         target_row = _neighbor_rows(target, radius)
-        target_hist = start(_distance_histogram, target, target_row, radius, bins)
+        target_hist = tasks.start(_distance_histogram, target, target_row, radius, bins)
         source_sums = _moment_sums(source, source_row)
-        source_feats = start(_descriptor, finish(source_hist), source_sums)
+        source_feats = tasks.start(_descriptor, tasks.finish(source_hist), source_sums)
         # the source's rows go before the target's adjacency is made
         del source_row, source_hist
-        target_feats = _descriptor(finish(target_hist), _moment_sums(target, target_row))
-        return finish(source_feats), target_feats
-    finally:
-        # tasks the helper has not started are dropped, the others waited for
-        for future in submitted:
-            future.cancel()
-        wait([future for future in submitted if not future.cancelled()])
+        # the target's sums come first, so the helper has its histogram done
+        target_sums = _moment_sums(target, target_row)
+        target_feats = _descriptor(tasks.finish(target_hist), target_sums)
+        return tasks.finish(source_feats), target_feats
 
 
 def compute_features(cloud: PointCloud, cfg: FeatureConfig) -> PointCloud:
@@ -289,13 +307,18 @@ def compute_features(cloud: PointCloud, cfg: FeatureConfig) -> PointCloud:
 # matching and labeling
 # ---------------------------------------------------------------------------
 
-def match_nearest(source: PointCloud, target: PointCloud) -> CorrespondenceSet:
+def match_nearest(source: PointCloud, target: PointCloud,
+                  helper: Executor | None = None) -> CorrespondenceSet:
     """One correspondence per source point: its exact nearest neighbor in
     feature space (ties to the lowest target index).
 
     The search is one :class:`SpatialIndex` scan, O(n * m * D) for n source
     and m target descriptors of dimension D, in blocks of at most ``2**16``
-    distances.
+    distances. With a ``helper`` executor, the calling thread scans the
+    first half of the source rows and the helper the second half, against
+    the same index, each half in blocks of its own; a half the helper has
+    not started is scanned here (see :class:`_HandOff`). Every row is
+    decided on its own, so the matches are the same either way.
     """
     if source.features is None or target.features is None:
         raise MissingFeatures("both clouds need features before matching")
@@ -305,7 +328,14 @@ def match_nearest(source: PointCloud, target: PointCloud) -> CorrespondenceSet:
             f"{target.features.shape[1]}"
         )
     index = SpatialIndex(target.features)
-    nearest, _ = index.query(source.features)
+    if helper is None:
+        nearest, _ = index.query(source.features)
+    else:
+        half = len(source) // 2
+        with _HandOff(helper) as tasks:
+            second = tasks.start(index.query, source.features[half:])
+            first, _ = index.query(source.features[:half])
+            nearest = np.concatenate([first, tasks.finish(second)[0]])
     pairs = np.column_stack([np.arange(len(source), dtype=np.int64), nearest])
     return CorrespondenceSet(pairs, len(source), len(target))
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 from .correspondence import (
@@ -137,8 +137,8 @@ def worker_count() -> int:
     """Parallelism cap from the DGR_THREADS environment variable; 0 or
     unset means the CPUs this process may run on (its affinity mask, not
     the host's CPU count). It caps :func:`run_benchmark`'s pool, and it
-    caps description: at 1, :func:`register` describes both clouds on the
-    calling thread, without its helper thread."""
+    caps description and matching: at 1, :func:`register` describes and
+    matches both clouds on the calling thread, without its helper thread."""
     raw = os.environ.get("DGR_THREADS", "").strip()
     if raw and not raw.isdecimal():
         raise ValueError(f"DGR_THREADS must be a non-negative integer, got {raw!r}")
@@ -151,9 +151,9 @@ def worker_count() -> int:
 
 
 def _start_describer() -> None:
-    """Make the helper that takes part in description: one long-lived
-    thread, started at its first task. A forked child inherits the
-    executor but not its thread, so it makes its own."""
+    """Make the helper that takes part in description and matching: one
+    long-lived thread, started at its first task. A forked child inherits
+    the executor but not its thread, so it makes its own."""
     global _describer
     _describer = ThreadPoolExecutor(max_workers=1, thread_name_prefix="rigidreg-describe")
 
@@ -170,18 +170,28 @@ if hasattr(os, "register_at_fork"):
 _CONCURRENT_POINTS = 2000
 
 
-def _describe(source: PointCloud, target: PointCloud, feature: FeatureConfig):
-    """Both clouds with features attached. ``local_histogram`` clouds of at
-    least ``_CONCURRENT_POINTS`` points each are described at once, with
-    the helper thread taking the work that allocates little (see
-    ``correspondence._describe_pair``), when :func:`worker_count` is above
-    1; otherwise, and for ``precomputed``, each cloud is described in turn
-    on the calling thread, the source first."""
+def _helper_for(source: PointCloud, target: PointCloud,
+                feature: FeatureConfig) -> Executor | None:
+    """The helper thread, when it takes part in this pair: for
+    ``local_histogram`` clouds of at least ``_CONCURRENT_POINTS`` points
+    each, when :func:`worker_count` is above 1. Otherwise None, and the
+    pair is described and matched on the calling thread alone."""
     if (feature.descriptor != "local_histogram" or worker_count() < 2
             or min(len(source), len(target)) < _CONCURRENT_POINTS):
+        return None
+    return _describer
+
+
+def _describe(source: PointCloud, target: PointCloud, feature: FeatureConfig,
+              helper: Executor | None):
+    """Both clouds with features attached. With a ``helper`` they are
+    described at once, the helper taking the work that allocates little
+    (see ``correspondence._describe_pair``); otherwise each cloud is
+    described in turn on the calling thread, the source first."""
+    if helper is None:
         return compute_features(source, feature), compute_features(target, feature)
     source_f, target_f = _describe_pair(source.points, target.points, feature.radius,
-                                        feature.bins, _describer)
+                                        feature.bins, helper)
     return source.with_features(source_f), target.with_features(target_f)
 
 
@@ -264,12 +274,13 @@ def register(
     if len(source_d) < 3 or len(target_d) < 3:
         raise EmptyCloud("fewer than 3 points survive voxel downsampling")
 
+    helper = _helper_for(source_d, target_d, cfg.feature)
     begin = time.perf_counter()
-    source_d, target_d = _describe(source_d, target_d, cfg.feature)
+    source_d, target_d = _describe(source_d, target_d, cfg.feature, helper)
     stage_seconds["features"] = time.perf_counter() - begin
 
     begin = time.perf_counter()
-    matches = match_nearest(source_d, target_d)
+    matches = match_nearest(source_d, target_d, helper)
     stage_seconds["match"] = time.perf_counter() - begin
 
     begin = time.perf_counter()

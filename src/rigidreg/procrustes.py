@@ -153,7 +153,8 @@ def solve_stacked(
 
     U, sigma, Vt = np.linalg.svd(cross)
     rank_deficient = sigma[..., 1] <= _RANK_TOL * np.maximum(1.0, sigma[..., 0])
-    proper = np.linalg.det(U) * np.linalg.det(Vt) > 0
+    # U and Vt are orthogonal, so det(U Vt) = det U det Vt = +-1
+    proper = np.linalg.det(U @ Vt) > 0
     signs = np.where(proper[..., None], 1.0, _REFLECT)
     R = (U * signs[..., None, :]) @ Vt
     t = centroid_y - (R @ centroid_x[..., :, None])[..., 0]

@@ -149,9 +149,14 @@ def _huber_energy(
 ) -> tuple[float, NDArray[F64]]:
     """Weighted Huber energy of the residuals r = ||R x + t - y|| of matched
     rows, and those residuals."""
-    r = np.linalg.norm(X @ R.T + t - Y, axis=1)
-    huber = np.where(r <= delta, 0.5 * r * r, delta * (r - 0.5 * delta))
-    return float(np.sum(w * huber)), r
+    d = X @ R.T
+    d += t
+    d -= Y
+    r = np.linalg.norm(d, axis=1)
+    # c (r - c/2) is r^2/2 up to delta and delta (r - delta/2) beyond it;
+    # r - r/2 is exact, so the quadratic branch is the same 0.5 r r
+    c = np.minimum(r, delta)
+    return float(np.sum(w * (c * (r - 0.5 * c)))), r
 
 
 def _active_arrays(matches, source, target, weights):

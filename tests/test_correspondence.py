@@ -2,8 +2,10 @@
 
 import importlib
 import math
+import threading
 import tracemalloc
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
 import numpy as np
@@ -20,6 +22,7 @@ from rigidreg import (
     OracleWeighter,
     PointCloud,
     RigidTransform,
+    SpatialIndex,
     SyntheticPairSpec,
     UniformWeighter,
     WeightLengthMismatch,
@@ -32,7 +35,7 @@ from rigidreg import (
     weigh,
 )
 
-from _oracles import rodrigues
+from _oracles import nearest_bruteforce, rodrigues
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +388,90 @@ def test_match_requires_compatible_features(patch_cloud):
     b = PointCloud(np.zeros((2, 3)), features=np.zeros((2, 5)))
     with pytest.raises(DimensionMismatch):
         match_nearest(a, b)
+
+
+# ---------------------------------------------------------------------------
+# matching on two threads
+# ---------------------------------------------------------------------------
+
+_SCAN_HELPER = "split-scan-helper"
+
+
+@pytest.fixture
+def helper():
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix=_SCAN_HELPER) as pool:
+        yield pool
+
+
+def _record_scans(monkeypatch):
+    """The thread name of every SpatialIndex query, in call order."""
+    names = []
+    query = SpatialIndex.query
+
+    def record(index, queries):
+        names.append(threading.current_thread().name)
+        return query(index, queries)
+
+    monkeypatch.setattr(SpatialIndex, "query", record)
+    return names
+
+
+def _scanned_in_halves(names):
+    return sorted(name.startswith(_SCAN_HELPER) for name in names) == [False, True]
+
+
+def test_split_scan_matches_the_serial_scan_on_a_dense_pair(monkeypatch, helper):
+    pair = generate_pair(SyntheticPairSpec(n_points=6000, overlap_ratio=1.0, noise_sigma=0.002,
+                                           outlier_ratio=0.0, seed=21))
+    src, tgt = (compute_features(voxel_downsample(cloud, 0.02, 0), FeatureConfig())
+                for cloud in (pair.source, pair.target))
+    names = _record_scans(monkeypatch)
+    split = match_nearest(src, tgt, helper)
+    assert _scanned_in_halves(names)
+    assert split.pairs.tobytes() == match_nearest(src, tgt).pairs.tobytes()
+
+
+def test_split_scan_decides_ties_on_both_sides_of_the_split(monkeypatch, helper):
+    rng = np.random.default_rng(31)
+    e = np.eye(11)
+    # background vectors far from the rows below
+    stored = rng.normal(size=(60, 11)) + 50.0
+    # a query at e0 is exactly 1 from rows 8 and 3: row 3 wins
+    stored[8], stored[3] = 2.0 * e[0], 0.0 * e[0]
+    # rows 12 and 40 coincide: row 12 wins
+    stored[40] = stored[12] = 5.0 * e[1]
+    # seen from e2, rows 30 and 45 score alike; row 45 is one ulp nearer
+    near = 1e-3
+    stored[30] = e[2] + np.nextafter(near, 1.0) * e[3]
+    stored[45] = e[2] + near * e[4]
+    queries = rng.normal(size=(21, 11))
+    # 21 rows split after row 9: the first three sit on the caller's side
+    queries[[7, 8, 9, 10, 11, 12]] = [e[0], 5.0 * e[1], e[2], e[2], 5.0 * e[1], e[0]]
+    src = PointCloud(np.zeros((21, 3)), features=queries)
+    tgt = PointCloud(np.zeros((60, 3)), features=stored)
+    names = _record_scans(monkeypatch)
+    split = match_nearest(src, tgt, helper)
+    assert _scanned_in_halves(names)
+    assert split.pairs[7:13, 1].tolist() == [3, 12, 45, 45, 12, 3]
+    assert split.pairs.tobytes() == match_nearest(src, tgt).pairs.tobytes()
+    np.testing.assert_array_equal(split.pairs[:, 1], nearest_bruteforce(stored, queries)[0])
+
+
+def test_split_scan_memory_stays_bounded(monkeypatch, helper):
+    # the same bound as one 4000 x 4000 scan: each half holds its own blocks
+    rng = np.random.default_rng(32)
+    src, tgt = (PointCloud(np.zeros((4000, 3)), features=rng.normal(size=(4000, 11)))
+                for _ in range(2))
+    names = _record_scans(monkeypatch)
+    helper.submit(int).result()  # the helper's thread exists before tracing
+    tracemalloc.start()
+    try:
+        match_nearest(src, tgt, helper)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert _scanned_in_halves(names)
+    assert peak < 2 * 2**20
 
 
 def test_label_inliers_strict_threshold():

@@ -35,6 +35,7 @@ from rigidreg import (
     RegistrationFailed,
     RigidTransform,
     SAFEGUARD_BRANCH,
+    SpatialIndex,
     SyntheticPairSpec,
     UniformWeighter,
     WeightVector,
@@ -520,31 +521,55 @@ _HELPER = "rigidreg-describe"
 
 
 def _record_description(monkeypatch):
-    """Wrap the descriptor's histogram and finishing steps and the
-    pipeline's matcher; the returned lists get the thread name of each
-    step and (source features, target features, match pairs) per match."""
-    threads, matched = [], []
+    """Wrap the descriptor's histogram and finishing steps, the scan and
+    the pipeline's matcher; the returned lists get (step, thread name) of
+    each histogram, descriptor and scan call, and (source features, target
+    features, match pairs) per match."""
+    steps, matched = [], []
     histogram = _correspondence._distance_histogram
     descriptor = _correspondence._descriptor
+    query = SpatialIndex.query
     match = _pipeline.match_nearest
 
-    def record_histogram(*args):
-        threads.append(threading.current_thread().name)
-        return histogram(*args)
+    def record(step, fn):
+        def recorded(*args):
+            steps.append((step, threading.current_thread().name))
+            return fn(*args)
+        return recorded
 
-    def record_descriptor(*args):
-        threads.append(threading.current_thread().name)
-        return descriptor(*args)
-
-    def record_match(source, target):
-        matches = match(source, target)
+    def record_match(source, target, helper):
+        matches = match(source, target, helper)
         matched.append((source.features, target.features, matches.pairs))
         return matches
 
-    monkeypatch.setattr(_correspondence, "_distance_histogram", record_histogram)
-    monkeypatch.setattr(_correspondence, "_descriptor", record_descriptor)
+    monkeypatch.setattr(_correspondence, "_distance_histogram", record("histogram", histogram))
+    monkeypatch.setattr(_correspondence, "_descriptor", record("descriptor", descriptor))
+    monkeypatch.setattr(SpatialIndex, "query", record("scan", query))
     monkeypatch.setattr(_pipeline, "match_nearest", record_match)
-    return threads, matched
+    return steps, matched
+
+
+def _wait_for_the_helper(monkeypatch):
+    """Make each hand-off wait, up to 10 s, until the helper has started
+    its task, so the schedule a test names does not depend on how the
+    operating system schedules the two threads."""
+    finish = _correspondence._HandOff.finish
+
+    def patient(task):
+        future, deadline = task[0], time.monotonic() + 10.0
+        while not (future.running() or future.done()) and time.monotonic() < deadline:
+            time.sleep(1e-4)
+        return finish(task)
+
+    monkeypatch.setattr(_correspondence._HandOff, "finish", staticmethod(patient))
+
+
+def _split_steps(steps):
+    """The steps the helper ran and those the calling thread ran, each in
+    order."""
+    on_helper = [step for step, name in steps if name.startswith(_HELPER)]
+    on_caller = [step for step, name in steps if not name.startswith(_HELPER)]
+    return on_helper, on_caller
 
 
 def _assert_same_registration(a, b):
@@ -578,21 +603,29 @@ def test_concurrent_and_serial_description_agree(monkeypatch, make):
     pair, cfg, weighter = make()
     runs = {}
     for threads in (None, "2", "1"):
-        if threads is None:
-            monkeypatch.delenv("DGR_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("DGR_THREADS", threads)
-        names, matched = _record_description(monkeypatch)
-        result = register(pair.source, pair.target, cfg, weighter=weighter)
-        runs[threads] = names, matched[0], result
+        # each run records its own steps only
+        with monkeypatch.context() as patch:
+            if threads is None:
+                patch.delenv("DGR_THREADS", raising=False)
+            else:
+                patch.setenv("DGR_THREADS", threads)
+            steps, matched = _record_description(patch)
+            _wait_for_the_helper(patch)
+            result = register(pair.source, pair.target, cfg, weighter=weighter)
+        runs[threads] = steps, matched[0], result
     for threads in (None, "2"):
         _assert_same_matching(runs[threads][1], runs["1"][1])
         _assert_same_registration(runs[threads][2], runs["1"][2])
-    on_helper = [name.startswith(_HELPER) for name in runs["2"][0]]
-    # both histograms and one cloud's last step of the dense pair, and
-    # nothing of the small pair
-    assert sum(on_helper) == (3 if make is _dense_pair else 0)
-    assert not any(name.startswith(_HELPER) for name in runs["1"][0])
+    serial = [], ["histogram", "descriptor", "histogram", "descriptor", "scan"]
+    if make is _dense_pair:
+        # both histograms, the source's last step and the second scan half
+        # of the dense pair on the helper, in that order
+        assert _split_steps(runs["2"][0]) == (["histogram", "histogram", "descriptor", "scan"],
+                                              ["descriptor", "scan"])
+    else:
+        # nothing of the small pair
+        assert _split_steps(runs["2"][0]) == serial
+    assert _split_steps(runs["1"][0]) == serial
 
 
 def _featured_clouds(source_has, target_has):
@@ -628,38 +661,56 @@ def test_precomputed_without_features_raises_the_source_error_first(
 
 @pytest.mark.parametrize("caller_fails", [False, True])
 def test_register_returns_after_the_helper_is_done(monkeypatch, caller_fails):
+    # in each stage the helper's task is slowed, and the caller's work
+    # waits until the helper has begun, then fails or goes on
     monkeypatch.setenv("DGR_THREADS", "2")
+    pair, cfg, weighter = _dense_pair()
     histogram = _correspondence._distance_histogram
     moment_sums = _correspondence._moment_sums
+    query = SpatialIndex.query
     started = threading.Event()
     begun, ended = [], []
 
-    def slow_histogram(*args):
-        if threading.current_thread().name.startswith(_HELPER):
+    def slow_on_helper(fn):
+        def slowed(*args):
+            if not threading.current_thread().name.startswith(_HELPER):
+                return fn(*args)
             begun.append(True)
             started.set()
             time.sleep(0.3)
-            out = histogram(*args)
+            out = fn(*args)
             ended.append(True)
             return out
-        return histogram(*args)
+        return slowed
 
-    def failing_sums(*args):
-        # a helper task that has not started would be taken back instead
-        assert started.wait(10.0)
-        if caller_fails:
-            raise RuntimeError("caller")
-        return moment_sums(*args)
+    def failing_on_caller(fn):
+        def failing(*args):
+            if threading.current_thread().name.startswith(_HELPER):
+                return fn(*args)
+            # a helper task that has not started would be taken back instead
+            assert started.wait(10.0)
+            if caller_fails:
+                raise RuntimeError("caller")
+            return fn(*args)
+        return failing
 
-    monkeypatch.setattr(_correspondence, "_distance_histogram", slow_histogram)
-    monkeypatch.setattr(_correspondence, "_moment_sums", failing_sums)
-    pair, cfg, weighter = _dense_pair()
-    if caller_fails:
-        with pytest.raises(RuntimeError, match="^caller$"):
-            register(pair.source, pair.target, cfg, weighter=weighter)
-    else:
-        register(pair.source, pair.target, cfg, weighter=weighter)
-    assert begun and len(ended) == len(begun)
+    for stage in ("describe", "match"):
+        started.clear()
+        begun.clear()
+        ended.clear()
+        with monkeypatch.context() as patch:
+            if stage == "describe":
+                patch.setattr(_correspondence, "_distance_histogram", slow_on_helper(histogram))
+                patch.setattr(_correspondence, "_moment_sums", failing_on_caller(moment_sums))
+            else:
+                # the helper's half is submitted before the caller scans its own
+                patch.setattr(SpatialIndex, "query", failing_on_caller(slow_on_helper(query)))
+            if caller_fails:
+                with pytest.raises(RuntimeError, match="^caller$"):
+                    register(pair.source, pair.target, cfg, weighter=weighter)
+            else:
+                register(pair.source, pair.target, cfg, weighter=weighter)
+            assert begun and len(ended) == len(begun), stage
 
 
 def test_a_busy_helper_gives_its_work_back(monkeypatch):
@@ -675,7 +726,9 @@ def test_a_busy_helper_gives_its_work_back(monkeypatch):
     finally:
         release.set()
         blocker.result(timeout=60)
-    assert names == [threading.current_thread().name] * 4
+    # every task given back: both halves of the scan ran here too
+    assert names == [(step, threading.current_thread().name) for step in
+                     ("histogram", "histogram", "descriptor", "descriptor", "scan", "scan")]
     monkeypatch.setenv("DGR_THREADS", "1")
     _, serial_matched = _record_description(monkeypatch)
     serial = register(pair.source, pair.target, cfg, weighter=weighter)
@@ -705,12 +758,15 @@ def test_callers_on_many_threads_share_the_helper(monkeypatch):
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_a_forked_child_describes_with_its_own_helper(monkeypatch):
     # the child inherits the parent's executor without its thread; it
-    # must start a helper of its own rather than describe everything serially
+    # must start a helper of its own rather than describe and match
+    # everything serially
     monkeypatch.setenv("DGR_THREADS", "2")
     pair, cfg, weighter = _dense_pair()
     names, _ = _record_description(monkeypatch)
+    _wait_for_the_helper(monkeypatch)
     expected = register(pair.source, pair.target, cfg, weighter=weighter)
-    assert any(name.startswith(_HELPER) for name in names)
+    helped = ["histogram", "histogram", "descriptor", "scan"]
+    assert _split_steps(names)[0] == helped
     pid = os.fork()
     if pid == 0:  # pragma: no cover - the child reports through its exit status
         status = 1
@@ -718,8 +774,7 @@ def test_a_forked_child_describes_with_its_own_helper(monkeypatch):
             names.clear()
             got = register(pair.source, pair.target, cfg, weighter=weighter)
             same = got.transform.rotation.tobytes() == expected.transform.rotation.tobytes()
-            helped = any(name.startswith(_HELPER) for name in names)
-            status = 0 if same and helped else 1
+            status = 0 if same and _split_steps(names)[0] == helped else 1
         finally:
             os._exit(status)
     deadline = time.monotonic() + 120.0
