@@ -58,7 +58,10 @@ class CorrespondenceSet:
                 raise ValueError("source index out of range")
             if p[:, 1].min() < 0 or p[:, 1].max() >= self.target_size:
                 raise ValueError("target index out of range")
-            if np.unique(p[:, 0]).size != p.shape[0]:
+            # a strictly increasing column, as matching makes it, has no
+            # duplicate; any other is sorted to find them
+            increasing = bool(np.all(p[1:, 0] > p[:-1, 0]))
+            if not increasing and np.unique(p[:, 0]).size != p.shape[0]:
                 raise ValueError("duplicate source index in correspondence set")
         p.flags.writeable = False
         object.__setattr__(self, "pairs", p)
@@ -329,13 +332,13 @@ def match_nearest(source: PointCloud, target: PointCloud,
         )
     index = SpatialIndex(target.features)
     if helper is None:
-        nearest, _ = index.query(source.features)
+        nearest = index.nearest(source.features)
     else:
         half = len(source) // 2
         with _HandOff(helper) as tasks:
-            second = tasks.start(index.query, source.features[half:])
-            first, _ = index.query(source.features[:half])
-            nearest = np.concatenate([first, tasks.finish(second)[0]])
+            second = tasks.start(index.nearest, source.features[half:])
+            first = index.nearest(source.features[:half])
+            nearest = np.concatenate([first, tasks.finish(second)])
     pairs = np.column_stack([np.arange(len(source), dtype=np.int64), nearest])
     return CorrespondenceSet(pairs, len(source), len(target))
 
@@ -416,7 +419,7 @@ class HeuristicWeighter:
         _, d2 = forward.query_two(fs)
 
         reverse = SpatialIndex(source.features)
-        back, _ = reverse.query(target.features[ti])
+        back = reverse.nearest(target.features[ti])
         reciprocal = (back == si).astype(np.float64)
 
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -170,6 +170,69 @@ def _patch_cloud(rng: np.random.Generator, count: int) -> np.ndarray:
     return np.concatenate(pieces, axis=0)
 
 
+# draws an outlier may take to land clear of its true position
+_OUTLIER_DRAWS = 100
+
+
+def _clear_of(candidates: np.ndarray, targets: np.ndarray, clearance: float) -> NDArray[np.bool_]:
+    """Whether each candidate row lies farther than ``clearance`` from its
+    target row (or from one target vector), decided for every row exactly
+    as ``np.linalg.norm(candidate - target) > clearance`` decides it.
+
+    The row norms over ``axis=1`` sum the squares in another order than
+    the 1-D norm, so the two can differ in the last bit; each lies within
+    two units of roundoff of the true distance, relative. Rows within 8
+    machine epsilons of the clearance, relative, are decided again by the
+    1-D norm.
+    """
+    d = candidates - targets
+    distance = np.linalg.norm(d, axis=1)
+    clear = distance > clearance
+    close = np.abs(distance - clearance) <= 8 * np.finfo(np.float64).eps * clearance
+    for row in np.flatnonzero(close):
+        clear[row] = np.linalg.norm(d[row]) > clearance
+    return clear
+
+
+def _place_outliers(rng: np.random.Generator, targets: np.ndarray, low: np.ndarray,
+                    high: np.ndarray, clearance: float) -> np.ndarray:
+    """A uniform point of the box [low, high) for each target row, clear of
+    it by :func:`_clear_of`: each row takes the first of up to 100 draws
+    that is clear, or the 100th draw if none is.
+
+    The rows take their draws from ``rng`` one triple at a time in row
+    order, so the points equal those of a loop that calls
+    ``rng.uniform(low, high)`` for each draw, bit for bit. The triples are
+    drawn in blocks and tested together; after a row refuses one, that row
+    tests the next 99 at once, and the rows after it go on from the first
+    triple it left. Triples drawn past the last one used are lost, so no
+    draw from ``rng`` may follow this call.
+    """
+    placed = np.empty_like(targets)
+    # drawn but not yet used, in the order rng gave them
+    ahead = np.empty((0, 3))
+    row = 0
+    while row < len(targets):
+        # a triple for each row left, and the retries of the first to refuse one
+        left = len(targets) - row
+        if len(ahead) < left + _OUTLIER_DRAWS:
+            fresh = rng.uniform(low, high, size=(left + _OUTLIER_DRAWS - len(ahead), 3))
+            ahead = np.concatenate([ahead, fresh])
+        clear = _clear_of(ahead[:left], targets[row:], clearance)
+        taken = left if clear.all() else int(clear.argmin())
+        placed[row:row + taken] = ahead[:taken]
+        ahead = ahead[taken:]
+        row += taken
+        if row < len(targets):
+            # the row refused ahead[0]; its retries are the triples after it
+            retries = _clear_of(ahead[1:_OUTLIER_DRAWS], targets[row], clearance)
+            used = 2 + int(retries.argmax()) if retries.any() else _OUTLIER_DRAWS
+            placed[row] = ahead[used - 1]
+            ahead = ahead[used:]
+            row += 1
+    return placed
+
+
 def generate_pair(spec: SyntheticPairSpec) -> SyntheticPair:
     """Deterministic synthetic pair: a patchwork surface, a rigid motion, a
     partial-overlap target with optional Gaussian noise, and outliers with
@@ -212,12 +275,12 @@ def generate_pair(spec: SyntheticPairSpec) -> SyntheticPair:
         # mistaken for inliers, so labels derived from the construction and
         # labels derived from residuals agree
         clearance = max(0.2, 10.0 * spec.noise_sigma)
-        for j in chosen:
-            for _ in range(100):
-                candidate = rng.uniform(low, high)
-                if np.linalg.norm(candidate - target_points[j]) > clearance:
-                    break
-            target_points[j] = candidate
+        # the last read of rng: _place_outliers may draw triples it never
+        # uses, so a draw added after it would read other values than the
+        # one-draw-at-a-time loop it replaces, and the tests that compare
+        # pairs with that loop (tests/_oracles.py) would fail
+        target_points[chosen] = _place_outliers(
+            rng, target_points[chosen], low, high, clearance)
         replaced[chosen] = True
 
     paired = origin >= 0

@@ -175,9 +175,13 @@ class SpatialIndex:
         self._columns = np.ascontiguousarray(np.column_stack([arr, squares]).T)
         self._largest_square = float(squares.max())
 
+    def nearest(self, queries: np.ndarray) -> NDArray[np.int64]:
+        """Nearest stored index of each query row."""
+        return self._scan(queries, 1)[1][0]
+
     def query(self, queries: np.ndarray) -> tuple[NDArray[np.int64], NDArray[F64]]:
         """Nearest stored index and distance for each query row."""
-        q, first, _ = self._scan(queries)
+        q, (first,) = self._scan(queries, 1)
         return first, self._distances(q, first)
 
     def query_two(self, queries: np.ndarray) -> tuple[NDArray[F64], NDArray[F64]]:
@@ -185,7 +189,7 @@ class SpatialIndex:
 
         With a single stored vector the second distance is ``inf``.
         """
-        q, first, second = self._scan(queries)
+        q, (first, second) = self._scan(queries, 2)
         if len(self._data) == 1:
             return self._distances(q, first), np.full(len(q), np.inf)
         return self._distances(q, first), self._distances(q, second)
@@ -194,17 +198,17 @@ class SpatialIndex:
         return np.linalg.norm(self._data[picks] - q, axis=1)
 
     def _scan(
-        self, queries: np.ndarray
-    ) -> tuple[NDArray[F64], NDArray[np.int64], NDArray[np.int64]]:
-        """The query rows as a 2-D array, and the nearest and
-        second-nearest stored index of each, by the distances and tie rule
-        of the class docstring.
+        self, queries: np.ndarray, ranks: int
+    ) -> tuple[NDArray[F64], list[NDArray[np.int64]]]:
+        """The query rows as a 2-D array, and the nearest ``ranks`` (1 or 2)
+        stored indices of each, nearest first, by the distances and tie
+        rule of the class docstring.
 
         Each block of rows takes one matrix product for its scores
-        ``s_j = |b_j|^2 - 2 q.b_j`` and keeps their three smallest. A row
-        whose three are more than ``margin`` apart is decided by the
-        scores. Any other row is decided by the exact distances of the
-        vectors scored within ``margin`` of its second smallest.
+        ``s_j = |b_j|^2 - 2 q.b_j`` and keeps their ``ranks + 1`` smallest.
+        A row whose kept scores are more than ``margin`` apart is decided
+        by the scores. Any other row is decided by the exact distances of
+        the vectors scored within ``margin`` of its ``ranks``-th smallest.
 
         The margin covers float64 rounding. Let u be the unit roundoff, D
         the dimension and ``Q = |q|^2 + max_j |b_j|^2``. A score is a dot
@@ -229,31 +233,34 @@ class SpatialIndex:
         unit_roundoff = np.finfo(np.float64).eps / 2
         margins = 16 * (dim + 2) * unit_roundoff * (
             np.einsum("ij,ij->i", q, q) + self._largest_square)
-        first = np.empty(n, dtype=np.int64)
-        second = np.empty(n, dtype=np.int64)
-        # with one stored vector the second and third smallest scores are
-        # both inf; their difference is nan, which leaves the row decided
+        found = [np.empty(n, dtype=np.int64) for _ in range(ranks)]
+        # with one stored vector the scores after the first are all inf;
+        # their difference is nan, which leaves the row decided
         with np.errstate(invalid="ignore"):
             for start in range(0, n, rows):
                 block = q[start:start + rows]
                 k = len(block)
                 np.multiply(block, -2.0, out=lifted[:k, :dim])
                 s = np.matmul(lifted[:k], self._columns, out=scores[:k])
-                i1 = s.argmin(axis=1)
-                v1 = s[at[:k], i1]
-                s[at[:k], i1] = np.inf
-                i2 = s.argmin(axis=1)
-                v2 = s[at[:k], i2]
-                s[at[:k], i2] = np.inf
+                picks, values = [], []
+                for _ in range(ranks):
+                    picks.append(s.argmin(axis=1))
+                    values.append(s[at[:k], picks[-1]])
+                    s[at[:k], picks[-1]] = np.inf
+                values.append(s.min(axis=1))
                 margin = margins[start:start + k]
-                unsure = np.flatnonzero((v2 - v1 <= margin) | (s.min(axis=1) - v2 <= margin))
-                for row in unsure:
-                    s[row, i1[row]] = v1[row]
-                    s[row, i2[row]] = v2[row]
-                    candidates = np.flatnonzero(s[row] <= v2[row] + margin[row])
+                close = values[1] - values[0] <= margin
+                for lower, upper in zip(values[1:], values[2:]):
+                    close |= upper - lower <= margin
+                for row in close.nonzero()[0]:
+                    for pick, value in zip(picks, values):
+                        s[row, pick[row]] = value[row]
+                    candidates = np.flatnonzero(s[row] <= values[ranks - 1][row] + margin[row])
                     exact = np.linalg.norm(self._data[candidates] - block[row], axis=1)
                     # a stable sort keeps the lower index first among equal distances
-                    i1[row], i2[row] = candidates[np.argsort(exact, kind="stable")[:2]]
-                first[start:start + k] = i1
-                second[start:start + k] = i2
-        return q, first, second
+                    nearest = candidates[np.argsort(exact, kind="stable")[:ranks]]
+                    for pick, index in zip(picks, nearest):
+                        pick[row] = index
+                for out, pick in zip(found, picks):
+                    out[start:start + k] = pick
+        return q, found

@@ -152,7 +152,11 @@ def _huber_energy(
     d = X @ R.T
     d += t
     d -= Y
-    r = np.linalg.norm(d, axis=1)
+    # (x^2 + y^2) + z^2, the sum np.linalg.norm(d, axis=1) takes, at a third of its cost
+    d *= d
+    r = d[:, 0] + d[:, 1]
+    r += d[:, 2]
+    np.sqrt(r, out=r)
     # c (r - c/2) is r^2/2 up to delta and delta (r - delta/2) beyond it;
     # r - r/2 is exact, so the quadratic branch is the same 0.5 r r
     c = np.minimum(r, delta)

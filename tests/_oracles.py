@@ -119,3 +119,93 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
 
 def huber(r: float, delta: float) -> float:
     return 0.5 * r * r if r <= delta else delta * (r - 0.5 * delta)
+
+
+def _patch_cloud(rng: np.random.Generator, count: int) -> np.ndarray:
+    n_patches = 6
+    per = np.full(n_patches, count // n_patches)
+    per[: count % n_patches] += 1
+    pieces = []
+    for k in range(n_patches):
+        center = rng.uniform(-1.0, 1.0, 3)
+        basis = np.linalg.qr(rng.normal(size=(3, 3)))[0][:, :2]
+        extent = rng.uniform(0.3, 1.0, 2)
+        uv = rng.uniform(-0.5, 0.5, (per[k], 2)) * extent
+        pieces.append(center + uv @ basis.T)
+    return np.concatenate(pieces, axis=0)
+
+
+def _synthetic_rotation(rng: np.random.Generator, max_angle: float) -> np.ndarray:
+    axis = rng.normal(size=3)
+    axis /= np.linalg.norm(axis)
+    angle = rng.uniform(0.0, max_angle) if max_angle > 0 else 0.0
+    K = np.array(
+        [[0, -axis[2], axis[1]], [axis[2], 0, -axis[0]], [-axis[1], axis[0], 0]]
+    )
+    return np.eye(3) + math.sin(angle) * K + (1.0 - math.cos(angle)) * (K @ K)
+
+
+def synthetic_pair_loop(spec):
+    """The synthetic pair generator as it was when it placed one outlier at
+    a time, redrawing each with its own ``rng.uniform`` call until it lay
+    farther than the clearance from its true position (at most 100 draws).
+
+    ``spec`` is read for its fields only. Returns a dict of the source and
+    target points, rotation, translation, correspondence pairs and inlier
+    mask, and ``draws``: how many triples each outlier took, in the order
+    they were placed.
+    """
+    rng = np.random.default_rng(spec.seed)
+    n = spec.n_points
+    shared_count = int(round(spec.overlap_ratio * n))
+    extra = n - shared_count
+
+    base = _patch_cloud(rng, n + extra)
+    source_points = base[:n]
+    shared_idx = rng.choice(n, size=shared_count, replace=False)
+
+    R = _synthetic_rotation(rng, spec.transform_magnitude[0])
+    direction = rng.normal(size=3)
+    direction /= np.linalg.norm(direction)
+    t = direction * rng.uniform(0.0, spec.transform_magnitude[1])
+
+    target_pre = np.concatenate([source_points[shared_idx], base[n:]], axis=0)
+    origin = np.concatenate([shared_idx, np.full(extra, -1, dtype=np.int64)])
+    perm = rng.permutation(n)
+    target_pre = target_pre[perm]
+    origin = origin[perm]
+
+    target_points = target_pre @ R.T + t
+    if spec.noise_sigma > 0:
+        target_points = target_points + rng.normal(
+            scale=spec.noise_sigma, size=target_points.shape
+        )
+
+    outlier_count = int(round(spec.outlier_ratio * n))
+    replaced = np.zeros(n, dtype=bool)
+    draws = []
+    if outlier_count > 0:
+        chosen = rng.choice(n, size=outlier_count, replace=False)
+        low = target_points.min(axis=0)
+        high = target_points.max(axis=0)
+        clearance = max(0.2, 10.0 * spec.noise_sigma)
+        for j in chosen:
+            for attempt in range(100):
+                candidate = rng.uniform(low, high)
+                if np.linalg.norm(candidate - target_points[j]) > clearance:
+                    break
+            draws.append(attempt + 1)
+            target_points[j] = candidate
+        replaced[chosen] = True
+
+    paired = origin >= 0
+    pairs = np.column_stack([origin[paired], np.flatnonzero(paired)])
+    return {
+        "source": source_points,
+        "target": target_points,
+        "rotation": R,
+        "translation": t,
+        "pairs": pairs,
+        "inlier_mask": ~replaced[pairs[:, 1]],
+        "draws": draws,
+    }

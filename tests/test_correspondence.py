@@ -53,6 +53,15 @@ def test_correspondence_set_validation():
     assert len(CorrespondenceSet(np.zeros((0, 2), dtype=np.int64), 5, 5)) == 0
 
 
+def test_correspondence_set_refuses_duplicate_sources_in_any_order():
+    for pairs in ([[0, 0], [1, 1], [1, 2]], [[2, 0], [0, 1], [2, 1]], [[1, 0], [0, 0], [1, 1]]):
+        with pytest.raises(ValueError, match="duplicate source"):
+            CorrespondenceSet(np.array(pairs), 3, 3)
+    # strictly increasing with gaps, and unsorted without duplicates
+    for pairs in ([[0, 3], [2, 1], [5, 0]], [[5, 0], [0, 1], [2, 2]]):
+        assert CorrespondenceSet(np.array(pairs), 6, 4).pairs.tolist() == pairs
+
+
 def test_weight_vector_validation():
     WeightVector(np.array([0.0, 0.5, 1.0]))
     with pytest.raises(ValueError):
@@ -404,15 +413,15 @@ def helper():
 
 
 def _record_scans(monkeypatch):
-    """The thread name of every SpatialIndex query, in call order."""
+    """The thread name of every SpatialIndex nearest-index scan, in call order."""
     names = []
-    query = SpatialIndex.query
+    nearest = SpatialIndex.nearest
 
     def record(index, queries):
         names.append(threading.current_thread().name)
-        return query(index, queries)
+        return nearest(index, queries)
 
-    monkeypatch.setattr(SpatialIndex, "query", record)
+    monkeypatch.setattr(SpatialIndex, "nearest", record)
     return names
 
 

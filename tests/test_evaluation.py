@@ -31,7 +31,9 @@ from rigidreg import (
     write_ply,
 )
 
-from _oracles import quaternion_angle, random_rotation, rot_z
+from rigidreg.evaluation import _clear_of
+
+from _oracles import quaternion_angle, random_rotation, rot_z, synthetic_pair_loop
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +210,82 @@ def test_generate_pair_overlap_fraction():
     for n, seed in ((1000, 0), (997, 1), (640, 2)):
         pair = generate_pair(SyntheticPairSpec(n_points=n, overlap_ratio=0.3, seed=seed))
         assert 0.29 <= len(pair.correspondences) / n <= 0.31
+
+
+# the benchmark's recipes: the outlier one also makes the safeguard suite
+_OUTLIER_RECIPE = dict(n_points=1000, overlap_ratio=0.8, noise_sigma=0.005, outlier_ratio=0.3)
+_DENSE_RECIPE = dict(n_points=6000, overlap_ratio=1.0, noise_sigma=0.002, outlier_ratio=0.0)
+# a clearance of 2 m in a box about that wide: most draws are refused
+_CROWDED_RECIPE = dict(n_points=50, overlap_ratio=0.8, noise_sigma=0.2, outlier_ratio=1.0)
+
+
+def _assert_generated_as_by_the_loop(spec):
+    """Every field of the pair bit for bit as the one-outlier-at-a-time
+    generator makes it; returns that generator's draws per outlier."""
+    pair = generate_pair(spec)
+    want = synthetic_pair_loop(spec)
+    for key, got in (("source", pair.source.points), ("target", pair.target.points),
+                     ("rotation", pair.transform.rotation),
+                     ("translation", pair.transform.translation),
+                     ("pairs", pair.correspondences.pairs), ("inlier_mask", pair.inlier_mask)):
+        assert (got.dtype, got.shape) == (want[key].dtype, want[key].shape), key
+        assert got.tobytes() == want[key].tobytes(), key
+    return want["draws"]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 101, 1701, 2**32 - 1])
+@pytest.mark.parametrize("recipe", [_OUTLIER_RECIPE, _DENSE_RECIPE], ids=["outlier", "dense"])
+def test_generate_pair_matches_the_loop_on_benchmark_recipes(recipe, seed):
+    _assert_generated_as_by_the_loop(SyntheticPairSpec(**recipe, seed=seed))
+
+
+@pytest.mark.parametrize("spec", [
+    # README's suite line
+    SyntheticPairSpec(n_points=500, overlap_ratio=0.8, noise_sigma=0.005, outlier_ratio=0.3,
+                      transform_magnitude=(3.14, 1.0), seed=7),
+    SyntheticPairSpec(n_points=200, outlier_ratio=0.0, seed=3),
+    SyntheticPairSpec(n_points=200, noise_sigma=0.01, outlier_ratio=1.0, seed=3),
+    SyntheticPairSpec(n_points=200, overlap_ratio=0.0, outlier_ratio=0.3, seed=4),
+    SyntheticPairSpec(n_points=200, overlap_ratio=1.0, outlier_ratio=0.3, seed=4),
+    SyntheticPairSpec(n_points=10, overlap_ratio=0.5, outlier_ratio=0.5, seed=5),
+    # a clearance of 0.5 m: a tenth of the draws or so are refused
+    SyntheticPairSpec(n_points=300, noise_sigma=0.05, outlier_ratio=0.9, seed=6),
+], ids=["readme", "outliers-0", "outliers-1", "overlap-0", "overlap-1", "10-points",
+        "clearance-0.5"])
+def test_generate_pair_matches_the_loop_at_the_edges(spec):
+    _assert_generated_as_by_the_loop(spec)
+
+
+def test_generate_pair_matches_the_loop_when_draws_run_out():
+    draws = [_assert_generated_as_by_the_loop(SyntheticPairSpec(**_CROWDED_RECIPE, seed=seed))
+             for seed in range(8)]
+    # outliers refused many times, and ones that kept their 100th draw
+    assert max(max(d) for d in draws) == 100
+    assert sum(count > 1 for d in draws for count in d) > 100
+
+
+def test_outlier_clearance_is_decided_as_by_the_one_row_norm(rng):
+    clearance = 0.2
+    below, above = np.nextafter(clearance, 0.0), np.nextafter(clearance, 1.0)
+    candidates = np.array([[clearance, 0.0, 0.0], [below, 0.0, 0.0], [above, 0.0, 0.0],
+                           [0.0, 0.0, -clearance], [0.0, -above, 0.0]])
+    target = np.array([0.5, -1.0, 2.0])
+    for shift in (np.zeros(3), target):
+        assert _clear_of(candidates + shift, shift, clearance).tolist() == [
+            bool(np.linalg.norm(c - shift) > clearance) for c in candidates + shift]
+    assert _clear_of(candidates, np.zeros((5, 3)), clearance).tolist() == [
+        False, False, True, False, True]
+    # rows whose axis=1 norm and 1-D norm differ in the last bit, with the
+    # clearance at either value and one ulp either side
+    rows = rng.uniform(-1.0, 1.0, size=(20000, 3))
+    one_row = np.array([np.linalg.norm(row) for row in rows])
+    differ = np.flatnonzero(np.linalg.norm(rows, axis=1) != one_row)
+    assert len(differ) > 100
+    for row in differ[:100]:
+        for value in (one_row[row], np.linalg.norm(rows[row:row + 1], axis=1)[0]):
+            for limit in (np.nextafter(value, 0.0), value, np.nextafter(value, 2.0)):
+                got = _clear_of(rows[row:row + 1], np.zeros(3), float(limit))
+                assert got.tolist() == [bool(np.linalg.norm(rows[row]) > limit)]
 
 
 # ---------------------------------------------------------------------------

@@ -358,6 +358,42 @@ def test_scan_results_do_not_depend_on_the_block_size(monkeypatch, rng):
         assert np.array_equal(got_d1, d1) and np.array_equal(got_d2, d2)
 
 
+def _hard_nearest_cases(rng):
+    """(stored, queries) pairs whose nearest rows take the exact distances."""
+    near = 1e-3
+    far = np.nextafter(near, 1.0)
+    ulp = np.array([[1.0, 0.0, far], [1.0, near, 0.0], [1.0, 0.0, 2e-3]])
+    grid = rng.integers(0, 3, size=(40, 3)).astype(np.float64)
+    return [
+        # equidistant from rows 0 and 1, with a third further out
+        (np.array([[2.0, 0.0], [0.0, 0.0], [-2.0, 0.0], [0.0, 5.0]]),
+         np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])),
+        # duplicates on a small grid: many exact ties
+        (grid, rng.integers(0, 3, size=(25, 3)).astype(np.float64)),
+        # rows 1 ulp apart in distance that share a score, alone and behind
+        # an exact match
+        (ulp, np.tile([1.0, 0.0, 0.0], (5, 1))),
+        (np.concatenate([ulp[:2], [[1.0, 0.0, 0.0]]]), np.tile([1.0, 0.0, 0.0], (5, 1))),
+        # one stored vector
+        (np.array([[1.0, 2.0, 2.0]]), np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 2.0], [3.0, 0.0, 1.0]])),
+    ]
+
+
+@pytest.mark.parametrize("rows_per_block", [None, 2], ids=["default-blocks", "2-row-blocks"])
+def test_nearest_agrees_with_the_oracle_on_hard_rows(monkeypatch, rng, rows_per_block):
+    geometry = importlib.import_module("rigidreg.geometry")
+    for data, queries in _hard_nearest_cases(rng):
+        if rows_per_block is not None:
+            # hard rows fall on both sides of each split between blocks
+            monkeypatch.setattr(geometry, "_BLOCK_ELEMENTS", rows_per_block * len(data))
+        index = SpatialIndex(data)
+        want_idx, want_dist = nearest_bruteforce(data, queries)
+        idx, dist = index.query(queries)
+        assert index.nearest(queries).tolist() == idx.tolist() == want_idx.tolist()
+        assert dist.tobytes() == want_dist.tobytes()
+        assert index.query_two(queries)[0].tobytes() == want_dist.tobytes()
+
+
 def test_scan_memory_stays_bounded(rng):
     # a whole 4000 x 4000 distance matrix would take 128 MB
     index = SpatialIndex(rng.normal(size=(4000, 11)))

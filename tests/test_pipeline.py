@@ -528,7 +528,7 @@ def _record_description(monkeypatch):
     steps, matched = [], []
     histogram = _correspondence._distance_histogram
     descriptor = _correspondence._descriptor
-    query = SpatialIndex.query
+    nearest = SpatialIndex.nearest
     match = _pipeline.match_nearest
 
     def record(step, fn):
@@ -544,7 +544,7 @@ def _record_description(monkeypatch):
 
     monkeypatch.setattr(_correspondence, "_distance_histogram", record("histogram", histogram))
     monkeypatch.setattr(_correspondence, "_descriptor", record("descriptor", descriptor))
-    monkeypatch.setattr(SpatialIndex, "query", record("scan", query))
+    monkeypatch.setattr(SpatialIndex, "nearest", record("scan", nearest))
     monkeypatch.setattr(_pipeline, "match_nearest", record_match)
     return steps, matched
 
@@ -667,7 +667,7 @@ def test_register_returns_after_the_helper_is_done(monkeypatch, caller_fails):
     pair, cfg, weighter = _dense_pair()
     histogram = _correspondence._distance_histogram
     moment_sums = _correspondence._moment_sums
-    query = SpatialIndex.query
+    nearest = SpatialIndex.nearest
     started = threading.Event()
     begun, ended = [], []
 
@@ -704,7 +704,8 @@ def test_register_returns_after_the_helper_is_done(monkeypatch, caller_fails):
                 patch.setattr(_correspondence, "_moment_sums", failing_on_caller(moment_sums))
             else:
                 # the helper's half is submitted before the caller scans its own
-                patch.setattr(SpatialIndex, "query", failing_on_caller(slow_on_helper(query)))
+                patch.setattr(SpatialIndex, "nearest",
+                              failing_on_caller(slow_on_helper(nearest)))
             if caller_fails:
                 with pytest.raises(RuntimeError, match="^caller$"):
                     register(pair.source, pair.target, cfg, weighter=weighter)

@@ -31,6 +31,7 @@ from rigidreg import (
     rot6d_to_matrix,
     solve,
 )
+from rigidreg.refine import _huber_energy
 
 from _oracles import central_difference, huber, quaternion_angle, random_rotation, rodrigues, rot_z
 
@@ -167,6 +168,17 @@ def test_energy_ignores_prefiltered_pairs(rng):
     wrecked[6:] += 100.0
     moved = energy(a, np.zeros(3), matches, src, PointCloud(wrecked), WeightVector(w_mixed), cfg)
     assert moved == full
+
+
+def test_energy_residuals_equal_the_row_norms(rng):
+    # the residuals are summed by coordinate planes, bit for bit the
+    # rounding of np.linalg.norm(..., axis=1)
+    for count in [*range(1, 300), 511, 512, 513, 750, 1000, 2047, 2048, 4096, 10000]:
+        for _ in range(20):
+            X, Y = rng.normal(size=(2, count, 3)) * rng.uniform(0.01, 10.0)
+            R, t = random_rotation(rng), rng.normal(size=3)
+            _, r = _huber_energy(X, Y, np.ones(count), R, t, 0.1)
+            assert r.tobytes() == np.linalg.norm(X @ R.T + t - Y, axis=1).tobytes(), count
 
 
 def test_energy_zero_when_nothing_active(rng):
