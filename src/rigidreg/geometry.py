@@ -179,11 +179,6 @@ class SpatialIndex:
         """Nearest stored index of each query row."""
         return self._scan(queries, 1)[1][0]
 
-    def query(self, queries: np.ndarray) -> tuple[NDArray[np.int64], NDArray[F64]]:
-        """Nearest stored index and distance for each query row."""
-        q, (first,) = self._scan(queries, 1)
-        return first, self._distances(q, first)
-
     def query_two(self, queries: np.ndarray) -> tuple[NDArray[F64], NDArray[F64]]:
         """Distances to the first and second nearest stored vectors.
 

@@ -17,8 +17,10 @@ never sees all weights filtered: the weight mass it then has is 0, below
 from __future__ import annotations
 
 import os
+import threading
 import time
 from concurrent.futures import Executor, ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 from .correspondence import (
@@ -29,6 +31,7 @@ from .correspondence import (
     UniformWeighter,
     WeightProvider,
     WeightVector,
+    _HandOff,
     _describe_pair,
     compute_features,
     match_nearest,
@@ -137,8 +140,10 @@ def worker_count() -> int:
     """Parallelism cap from the DGR_THREADS environment variable; 0 or
     unset means the CPUs this process may run on (its affinity mask, not
     the host's CPU count). It caps :func:`run_benchmark`'s pool, and it
-    caps description and matching: at 1, :func:`register` describes and
-    matches both clouds on the calling thread, without its helper thread."""
+    decides when :func:`register`'s helper thread takes part: only while
+    fewer registrations run in the process than this count. At 1,
+    :func:`register` describes and matches both clouds on the calling
+    thread."""
     raw = os.environ.get("DGR_THREADS", "").strip()
     if raw and not raw.isdecimal():
         raise ValueError(f"DGR_THREADS must be a non-negative integer, got {raw!r}")
@@ -151,11 +156,15 @@ def worker_count() -> int:
 
 
 def _start_describer() -> None:
-    """Make the helper that takes part in description and matching: one
-    long-lived thread, started at its first task. A forked child inherits
-    the executor but not its thread, so it makes its own."""
-    global _describer
+    """Make the helper that takes part in description and matching (one
+    long-lived thread, started at its first task) and the count of
+    registrations in flight, with its lock. A forked child makes its own:
+    it inherits the executor without its thread, and the count and the
+    lock as threads that the child does not have left them."""
+    global _describer, _running, _running_lock
     _describer = ThreadPoolExecutor(max_workers=1, thread_name_prefix="rigidreg-describe")
+    _running = 0
+    _running_lock = threading.Lock()
 
 
 _start_describer()
@@ -163,21 +172,38 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_start_describer)
 
 
-# the fewest points both clouds need for the helper thread to take part.
-# On smaller clouds the histograms are short: one caller gains little, and
-# callers on a pool (run_benchmark) already keep the cores busy, where the
-# helper's hand-offs slowed suites of 1k-point pairs by 3-12 %
+# the fewest points a cloud of the pair needs for the helper to take only
+# the work that allocates little (correspondence._describe_pair) rather
+# than the whole target. A whole cloud on the helper leaves its arrays in
+# the helper's malloc arena: on 3.8k-point pairs that cost 15 MB (+13 %)
+# of peak RSS for 1-8 % of speed, on 700-point pairs about 3 MB (+2.6 %),
+# and there the whole-cloud split described the pair faster
 _CONCURRENT_POINTS = 2000
 
 
-def _helper_for(source: PointCloud, target: PointCloud,
-                feature: FeatureConfig) -> Executor | None:
-    """The helper thread, when it takes part in this pair: for
-    ``local_histogram`` clouds of at least ``_CONCURRENT_POINTS`` points
-    each, when :func:`worker_count` is above 1. Otherwise None, and the
-    pair is described and matched on the calling thread alone."""
-    if (feature.descriptor != "local_histogram" or worker_count() < 2
-            or min(len(source), len(target)) < _CONCURRENT_POINTS):
+@contextmanager
+def _in_flight():
+    """Count the calling registration as running until the block ends."""
+    global _running
+    with _running_lock:
+        _running += 1
+    try:
+        yield
+    finally:
+        with _running_lock:
+            _running -= 1
+
+
+def _helper_for(feature: FeatureConfig) -> Executor | None:
+    """The helper thread, when it takes part in this registration: for
+    ``local_histogram`` features, while fewer registrations run in the
+    process, this one included, than :func:`worker_count`. Otherwise
+    None, and the pair is described and matched on the calling thread
+    alone: the other registrations already keep the cores busy, and there
+    the helper's hand-offs slowed suites of 1k-point pairs by 3-12 %."""
+    # one read of an int: a registration starting or ending meanwhile
+    # only moves the decision one way or the other
+    if feature.descriptor != "local_histogram" or _running >= worker_count():
         return None
     return _describer
 
@@ -185,11 +211,19 @@ def _helper_for(source: PointCloud, target: PointCloud,
 def _describe(source: PointCloud, target: PointCloud, feature: FeatureConfig,
               helper: Executor | None):
     """Both clouds with features attached. With a ``helper`` they are
-    described at once, the helper taking the work that allocates little
-    (see ``correspondence._describe_pair``); otherwise each cloud is
-    described in turn on the calling thread, the source first."""
+    described at once. When both clouds are below ``_CONCURRENT_POINTS``
+    points, the helper describes the whole target while the calling
+    thread describes the source; otherwise the helper takes only the work
+    that allocates little (see ``correspondence._describe_pair``). A task
+    the helper has not started is taken back (``correspondence._HandOff``).
+    Without a helper each cloud is described in turn on the calling
+    thread, the source first."""
     if helper is None:
         return compute_features(source, feature), compute_features(target, feature)
+    if max(len(source), len(target)) < _CONCURRENT_POINTS:
+        with _HandOff(helper) as tasks:
+            described_target = tasks.start(compute_features, target, feature)
+            return compute_features(source, feature), tasks.finish(described_target)
     source_f, target_f = _describe_pair(source.points, target.points, feature.radius,
                                         feature.bins, helper)
     return source.with_features(source_f), target.with_features(target_f)
@@ -263,32 +297,33 @@ def register(
     ``weighter`` overrides the provider named in the config; callers that
     know a ground truth use it to pass an oracle.
     """
-    stage_seconds: dict = {}
+    with _in_flight():
+        stage_seconds: dict = {}
 
-    begin = time.perf_counter()
-    # the same seed on both clouds makes identical inputs pick identical
-    # voxel representatives, so self-registration is exact
-    source_d = voxel_downsample(source, cfg.voxel_size, cfg.seed)
-    target_d = voxel_downsample(target, cfg.voxel_size, cfg.seed)
-    stage_seconds["downsample"] = time.perf_counter() - begin
-    if len(source_d) < 3 or len(target_d) < 3:
-        raise EmptyCloud("fewer than 3 points survive voxel downsampling")
+        begin = time.perf_counter()
+        # the same seed on both clouds makes identical inputs pick identical
+        # voxel representatives, so self-registration is exact
+        source_d = voxel_downsample(source, cfg.voxel_size, cfg.seed)
+        target_d = voxel_downsample(target, cfg.voxel_size, cfg.seed)
+        stage_seconds["downsample"] = time.perf_counter() - begin
+        if len(source_d) < 3 or len(target_d) < 3:
+            raise EmptyCloud("fewer than 3 points survive voxel downsampling")
 
-    helper = _helper_for(source_d, target_d, cfg.feature)
-    begin = time.perf_counter()
-    source_d, target_d = _describe(source_d, target_d, cfg.feature, helper)
-    stage_seconds["features"] = time.perf_counter() - begin
+        helper = _helper_for(cfg.feature)
+        begin = time.perf_counter()
+        source_d, target_d = _describe(source_d, target_d, cfg.feature, helper)
+        stage_seconds["features"] = time.perf_counter() - begin
 
-    begin = time.perf_counter()
-    matches = match_nearest(source_d, target_d, helper)
-    stage_seconds["match"] = time.perf_counter() - begin
+        begin = time.perf_counter()
+        matches = match_nearest(source_d, target_d, helper)
+        stage_seconds["match"] = time.perf_counter() - begin
 
-    begin = time.perf_counter()
-    provider = weighter if weighter is not None else resolve_weighter(cfg.weighter)
-    weights = weigh(matches, source_d, target_d, provider)
-    stage_seconds["weigh"] = time.perf_counter() - begin
+        begin = time.perf_counter()
+        provider = weighter if weighter is not None else resolve_weighter(cfg.weighter)
+        weights = weigh(matches, source_d, target_d, provider)
+        stage_seconds["weigh"] = time.perf_counter() - begin
 
-    return _core(matches, weights, source_d, target_d, cfg, stage_seconds)
+        return _core(matches, weights, source_d, target_d, cfg, stage_seconds)
 
 
 def register_with_correspondences(

@@ -191,24 +191,25 @@ def test_voxel_one_point_per_cell_property(seed):
 def test_index_self_query(rng):
     pts = rng.normal(size=(50, 3))
     index = SpatialIndex(pts)
-    idx, dist = index.query(pts[17])
-    assert idx[0] == 17 and dist[0] == 0.0
+    assert index.nearest(pts[17]).tolist() == [17]
+    assert index.query_two(pts[17])[0].tolist() == [0.0]
 
 
 def test_index_collinear_example():
     pts = np.array([[0.0, 0, 0], [1.0, 0, 0], [3.0, 0, 0]])
-    idx, _ = SpatialIndex(pts).query(np.array([1.9, 0.0, 0.0]))
-    assert idx[0] == 1
+    assert SpatialIndex(pts).nearest(np.array([1.9, 0.0, 0.0])).tolist() == [1]
     # one stored vector: the missing second neighbor is no tie
-    idx, dist = SpatialIndex(pts[2:]).query(np.array([1.9, 0.0, 0.0]))
-    assert idx.tolist() == [0] and abs(dist[0] - 1.1) < 1e-12
+    single = SpatialIndex(pts[2:])
+    assert single.nearest(np.array([1.9, 0.0, 0.0])).tolist() == [0]
+    assert abs(single.query_two(np.array([1.9, 0.0, 0.0]))[0][0] - 1.1) < 1e-12
 
 
 def test_index_matches_linear_scan(rng):
     data = rng.normal(size=(1000, 3))
     queries = rng.normal(size=(100, 3))
     index = SpatialIndex(data)
-    got_idx, got_dist = index.query(queries)
+    got_idx = index.nearest(queries)
+    got_dist, _ = index.query_two(queries)
     bf_idx, bf_dist = nearest_bruteforce(data, queries)
     for row in range(100):
         oracle_idx, oracle_dist = nearest_linear(data, queries[row])
@@ -221,12 +222,11 @@ def test_index_breaks_ties_toward_lowest_index():
     # two identical points: every query must resolve to index 0
     data = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [5.0, 5.0, 5.0]])
     index = SpatialIndex(data)
-    idx, _ = index.query(np.array([[1.0, 1.0, 1.0], [1.1, 1.0, 1.0]]))
+    idx = index.nearest(np.array([[1.0, 1.0, 1.0], [1.1, 1.0, 1.0]]))
     assert idx.tolist() == [0, 0]
     # symmetric placement: query equidistant from rows 0 and 1
     data = np.array([[0.0, 0, 0], [2.0, 0, 0]])
-    idx, _ = SpatialIndex(data).query(np.array([1.0, 0.0, 0.0]))
-    assert idx[0] == 0
+    assert SpatialIndex(data).nearest(np.array([1.0, 0.0, 0.0])).tolist() == [0]
     bf_idx, _ = nearest_bruteforce(data, np.array([[1.0, 0.0, 0.0]]))
     assert bf_idx[0] == 0
 
@@ -249,7 +249,7 @@ def test_index_agrees_with_scan_under_duplicates(seed):
     base = rng.integers(0, 4, size=(60, 3)).astype(np.float64)  # many ties
     queries = rng.integers(0, 4, size=(20, 3)).astype(np.float64)
     index = SpatialIndex(base)
-    got, _ = index.query(queries)
+    got = index.nearest(queries)
     for row in range(20):
         want, _ = nearest_linear(base, queries[row])
         assert got[row] == want
@@ -264,13 +264,13 @@ def _sorted_scan(data, query):
 
 def _check_against_scan(data, queries):
     index = SpatialIndex(data)
-    idx, dist = index.query(queries)
+    idx = index.nearest(queries)
     d1, d2 = index.query_two(queries)
     for row, q in enumerate(np.atleast_2d(queries)):
         want, want_dist = nearest_linear(data, q)
         assert idx[row] == want
         assert (d1[row], d2[row]) == _sorted_scan(data, q)
-        assert dist[row] == d1[row] == want_dist
+        assert d1[row] == want_dist
 
 
 def test_scan_breaks_exact_ties_and_duplicates_toward_lowest_index(rng):
@@ -281,7 +281,7 @@ def test_scan_breaks_exact_ties_and_duplicates_toward_lowest_index(rng):
     # equidistant from two stored vectors, with a third further out
     data = np.array([[2.0, 0.0], [0.0, 0.0], [-2.0, 0.0], [0.0, 5.0]])
     _check_against_scan(data, np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]))
-    assert SpatialIndex(data).query(np.array([1.0, 0.0]))[0].tolist() == [0]
+    assert SpatialIndex(data).nearest(np.array([1.0, 0.0])).tolist() == [0]
 
 
 def test_scan_separates_distances_one_ulp_apart():
@@ -296,7 +296,7 @@ def test_scan_separates_distances_one_ulp_apart():
     far = np.nextafter(near, 1.0)
     data = np.array([[1.0, 0.0, far], [1.0, near, 0.0], [1.0, 0.0, 2e-3]])
     _check_against_scan(data, np.array([1.0, 0.0, 0.0]))
-    assert SpatialIndex(data).query(np.array([1.0, 0.0, 0.0]))[0].tolist() == [1]
+    assert SpatialIndex(data).nearest(np.array([1.0, 0.0, 0.0])).tolist() == [1]
     # the same pair competing for second place behind an exact match
     data = np.concatenate([data[:2], [[1.0, 0.0, 0.0]]])
     _check_against_scan(data, np.array([1.0, 0.0, 0.0]))
@@ -333,15 +333,15 @@ def test_scan_with_one_stored_vector():
 
 def test_scan_takes_a_one_dimensional_query(rng):
     data = rng.normal(size=(40, 11))
-    idx, dist = SpatialIndex(data).query(data[7] + 1e-3)
+    idx = SpatialIndex(data).nearest(data[7] + 1e-3)
     d1, d2 = SpatialIndex(data).query_two(data[7] + 1e-3)
-    assert idx.shape == dist.shape == d1.shape == d2.shape == (1,)
+    assert idx.shape == d1.shape == d2.shape == (1,)
     _check_against_scan(data, data[7] + 1e-3)
 
 
 def test_scan_refuses_a_query_of_another_dimension():
     with pytest.raises(ValueError, match="length 11"):
-        SpatialIndex(np.zeros((5, 11))).query(np.zeros((2, 3)))
+        SpatialIndex(np.zeros((5, 11))).nearest(np.zeros((2, 3)))
 
 
 def test_scan_results_do_not_depend_on_the_block_size(monkeypatch, rng):
@@ -349,12 +349,12 @@ def test_scan_results_do_not_depend_on_the_block_size(monkeypatch, rng):
     grid = rng.integers(0, 3, size=(200, 5)).astype(np.float64)  # many ties
     cases = [(grid, rng.integers(0, 3, size=(90, 5)).astype(np.float64)),
              (rng.normal(size=(500, 11)), rng.normal(size=(300, 11)))]
-    default = [(SpatialIndex(d).query(q), SpatialIndex(d).query_two(q)) for d, q in cases]
+    default = [(SpatialIndex(d).nearest(q), SpatialIndex(d).query_two(q)) for d, q in cases]
     monkeypatch.setattr(geometry, "_BLOCK_ELEMENTS", 1)  # one query row per block
-    for (d, q), ((idx, dist), (d1, d2)) in zip(cases, default):
-        got_idx, got_dist = SpatialIndex(d).query(q)
+    for (d, q), (idx, (d1, d2)) in zip(cases, default):
+        got_idx = SpatialIndex(d).nearest(q)
         got_d1, got_d2 = SpatialIndex(d).query_two(q)
-        assert np.array_equal(got_idx, idx) and np.array_equal(got_dist, dist)
+        assert np.array_equal(got_idx, idx)
         assert np.array_equal(got_d1, d1) and np.array_equal(got_d2, d2)
 
 
@@ -388,9 +388,7 @@ def test_nearest_agrees_with_the_oracle_on_hard_rows(monkeypatch, rng, rows_per_
             monkeypatch.setattr(geometry, "_BLOCK_ELEMENTS", rows_per_block * len(data))
         index = SpatialIndex(data)
         want_idx, want_dist = nearest_bruteforce(data, queries)
-        idx, dist = index.query(queries)
-        assert index.nearest(queries).tolist() == idx.tolist() == want_idx.tolist()
-        assert dist.tobytes() == want_dist.tobytes()
+        assert index.nearest(queries).tolist() == want_idx.tolist()
         assert index.query_two(queries)[0].tobytes() == want_dist.tobytes()
 
 
@@ -400,7 +398,7 @@ def test_scan_memory_stays_bounded(rng):
     queries = rng.normal(size=(4000, 11))
     tracemalloc.start()
     try:
-        index.query(queries)
+        index.nearest(queries)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -11,6 +11,7 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import fields, replace
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
@@ -593,9 +594,15 @@ def _dense_pair():
 
 
 def _outlier_pair():
+    # about 700 points per cloud survive 5 cm voxels: the helper describes
+    # the whole target
     pair = generate_pair(SyntheticPairSpec(n_points=1000, overlap_ratio=0.8,
                                            noise_sigma=0.005, outlier_ratio=0.3, seed=22))
     return pair, PipelineConfig(), None
+
+
+# every step of a pair on the calling thread, none on the helper
+_SERIAL = [], ["histogram", "descriptor", "histogram", "descriptor", "scan"]
 
 
 @pytest.mark.parametrize("make", [_dense_pair, _outlier_pair], ids=["dense", "outliers"])
@@ -616,16 +623,17 @@ def test_concurrent_and_serial_description_agree(monkeypatch, make):
     for threads in (None, "2"):
         _assert_same_matching(runs[threads][1], runs["1"][1])
         _assert_same_registration(runs[threads][2], runs["1"][2])
-    serial = [], ["histogram", "descriptor", "histogram", "descriptor", "scan"]
     if make is _dense_pair:
         # both histograms, the source's last step and the second scan half
         # of the dense pair on the helper, in that order
         assert _split_steps(runs["2"][0]) == (["histogram", "histogram", "descriptor", "scan"],
                                               ["descriptor", "scan"])
     else:
-        # nothing of the small pair
-        assert _split_steps(runs["2"][0]) == serial
-    assert _split_steps(runs["1"][0]) == serial
+        # the whole target of the small pair and the second scan half on
+        # the helper, the whole source and the first half here
+        assert _split_steps(runs["2"][0]) == (["histogram", "descriptor", "scan"],
+                                              ["histogram", "descriptor", "scan"])
+    assert _split_steps(runs["1"][0]) == _SERIAL
 
 
 def _featured_clouds(source_has, target_has):
@@ -661,10 +669,19 @@ def test_precomputed_without_features_raises_the_source_error_first(
 
 @pytest.mark.parametrize("caller_fails", [False, True])
 def test_register_returns_after_the_helper_is_done(monkeypatch, caller_fails):
+    _check_register_returns_after_the_helper(monkeypatch, caller_fails, _dense_pair)
+
+
+@pytest.mark.parametrize("caller_fails", [False, True])
+def test_register_returns_after_the_helper_is_done_on_a_small_pair(monkeypatch, caller_fails):
+    _check_register_returns_after_the_helper(monkeypatch, caller_fails, _outlier_pair)
+
+
+def _check_register_returns_after_the_helper(monkeypatch, caller_fails, make):
     # in each stage the helper's task is slowed, and the caller's work
     # waits until the helper has begun, then fails or goes on
     monkeypatch.setenv("DGR_THREADS", "2")
-    pair, cfg, weighter = _dense_pair()
+    pair, cfg, weighter = make()
     histogram = _correspondence._distance_histogram
     moment_sums = _correspondence._moment_sums
     nearest = SpatialIndex.nearest
@@ -715,8 +732,21 @@ def test_register_returns_after_the_helper_is_done(monkeypatch, caller_fails):
 
 
 def test_a_busy_helper_gives_its_work_back(monkeypatch):
+    _check_a_busy_helper_gives_its_work_back(
+        monkeypatch, _dense_pair,
+        ("histogram", "histogram", "descriptor", "descriptor", "scan", "scan"))
+
+
+def test_a_busy_helper_gives_a_small_pair_back(monkeypatch):
+    # the whole target, then the second scan half
+    _check_a_busy_helper_gives_its_work_back(
+        monkeypatch, _outlier_pair,
+        ("histogram", "descriptor", "histogram", "descriptor", "scan", "scan"))
+
+
+def _check_a_busy_helper_gives_its_work_back(monkeypatch, make, steps):
     monkeypatch.setenv("DGR_THREADS", "2")
-    pair, cfg, weighter = _dense_pair()
+    pair, cfg, weighter = make()
     release = threading.Event()
     blocker = _pipeline._describer.submit(release.wait, 60)
     try:
@@ -728,8 +758,7 @@ def test_a_busy_helper_gives_its_work_back(monkeypatch):
         release.set()
         blocker.result(timeout=60)
     # every task given back: both halves of the scan ran here too
-    assert names == [(step, threading.current_thread().name) for step in
-                     ("histogram", "histogram", "descriptor", "descriptor", "scan", "scan")]
+    assert names == [(step, threading.current_thread().name) for step in steps]
     monkeypatch.setenv("DGR_THREADS", "1")
     _, serial_matched = _record_description(monkeypatch)
     serial = register(pair.source, pair.target, cfg, weighter=weighter)
@@ -739,21 +768,25 @@ def test_a_busy_helper_gives_its_work_back(monkeypatch):
 
 def test_callers_on_many_threads_share_the_helper(monkeypatch):
     # more callers than cores, with the interpreter switching threads
-    # often: every registration must equal the serial one
+    # often: every registration must equal the serial one, and the count
+    # of registrations running, which a lost update would leave off,
+    # must end at none
     monkeypatch.setenv("DGR_THREADS", "2")
-    pair, cfg, weighter = _dense_pair()
-    expected = register(pair.source, pair.target, cfg, weighter=weighter)
+    cases = [_dense_pair()] * 6 + [_outlier_pair()] * 30
+    expected = [register(pair.source, pair.target, cfg, weighter=weighter)
+                for pair, cfg, weighter in cases]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         with ThreadPoolExecutor(max_workers=4) as pool:
             calls = [pool.submit(register, pair.source, pair.target, cfg, weighter=weighter)
-                     for _ in range(6)]
+                     for pair, cfg, weighter in cases]
             results = [call.result(timeout=120) for call in calls]
     finally:
         sys.setswitchinterval(interval)
-    for result in results:
-        _assert_same_registration(result, expected)
+    for result, want in zip(results, expected):
+        _assert_same_registration(result, want)
+    assert _pipeline._running == 0
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -778,14 +811,99 @@ def test_a_forked_child_describes_with_its_own_helper(monkeypatch):
             status = 0 if same and _split_steps(names)[0] == helped else 1
         finally:
             os._exit(status)
+    assert _exit_code_of_child(pid) == 0
+
+
+def _exit_code_of_child(pid):
+    """Wait up to 120 s for a forked child; kill it and fail after that."""
     deadline = time.monotonic() + 120.0
     while True:
         done, status = os.waitpid(pid, os.WNOHANG)
         if done:
-            break
+            return os.waitstatus_to_exitcode(status)
         if time.monotonic() > deadline:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
             pytest.fail("the forked child did not finish its registration")
         time.sleep(0.05)
-    assert os.waitstatus_to_exitcode(status) == 0
+
+
+@contextmanager
+def _registrations_held(count):
+    """Run ``count`` registrations on threads of their own and hold each
+    in its weighing step until the block ends. They have described and
+    matched their pairs, so the helper is idle, but they are still
+    inside ``register``."""
+    pair, cfg, _ = _outlier_pair()
+    entered = threading.Semaphore(0)
+    release = threading.Event()
+
+    def held(matches, source, target):
+        entered.release()
+        release.wait(60)
+        return np.ones(len(matches))
+
+    threads = [threading.Thread(target=register, args=(pair.source, pair.target, cfg),
+                                kwargs={"weighter": held}) for _ in range(count)]
+    for thread in threads:
+        thread.start()
+    try:
+        for _ in range(count):
+            assert entered.acquire(timeout=60)
+        yield
+    finally:
+        release.set()
+        for thread in threads:
+            thread.join(60)
+    assert not any(thread.is_alive() for thread in threads)
+
+
+_HELPED = ["histogram", "descriptor", "scan"], ["histogram", "descriptor", "scan"]
+
+
+@pytest.mark.parametrize("threads, held, schedule", [
+    ("2", 2, _SERIAL),
+    ("2", 1, _SERIAL),
+    ("3", 1, _HELPED),
+], ids=["as-many-as-cores", "one-core-left", "two-cores-left"])
+def test_the_helper_takes_part_only_while_a_core_is_idle(monkeypatch, threads, held, schedule):
+    # a registration counts itself: it takes the helper only while fewer
+    # registrations than worker_count() run, itself included
+    monkeypatch.setenv("DGR_THREADS", threads)
+    pair, cfg, _ = _outlier_pair()
+    with _registrations_held(held):
+        with monkeypatch.context() as patch:
+            steps, matched = _record_description(patch)
+            _wait_for_the_helper(patch)
+            result = register(pair.source, pair.target, cfg)
+    assert _split_steps(steps) == schedule
+    assert _pipeline._running == 0
+    monkeypatch.setenv("DGR_THREADS", "1")
+    _, serial_matched = _record_description(monkeypatch)
+    serial = register(pair.source, pair.target, cfg)
+    _assert_same_matching(matched[0], serial_matched[0])
+    _assert_same_registration(result, serial)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_child_forked_during_a_registration_uses_its_own_helper(monkeypatch):
+    # the child inherits the count of registrations, and perhaps its lock
+    # held, from threads it does not have; it must start from none
+    monkeypatch.setenv("DGR_THREADS", "2")
+    pair, cfg, _ = _outlier_pair()
+    with _registrations_held(1):
+        names, _ = _record_description(monkeypatch)
+        _wait_for_the_helper(monkeypatch)
+        # here the held registration and this one fill both cores
+        register(pair.source, pair.target, cfg)
+        assert _split_steps(names) == _SERIAL
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - the child reports through its exit status
+            status = 1
+            try:
+                names.clear()
+                register(pair.source, pair.target, cfg)
+                status = 0 if _split_steps(names) == _HELPED else 1
+            finally:
+                os._exit(status)
+        assert _exit_code_of_child(pid) == 0
