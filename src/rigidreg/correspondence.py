@@ -3,7 +3,7 @@
 Matching is exact nearest neighbor in feature space, one match per source
 point. Weights come from pluggable providers so externally computed
 likelihoods (e.g. a learned matcher's output) can drive the same pipeline
-as the built-in heuristics.
+as the built-in uniform and oracle weights.
 """
 
 from __future__ import annotations
@@ -43,14 +43,20 @@ _HISTOGRAM_CHUNK = 2**14
 class CorrespondenceSet:
     """Index pairs (i, j) linking a source cloud of ``source_size`` points
     to a target cloud of ``target_size`` points; each source index appears
-    at most once."""
+    at most once. An index that is not a whole number raises ValueError."""
 
     pairs: NDArray[np.int64]
     source_size: int
     target_size: int
 
     def __post_init__(self) -> None:
-        p = np.asarray(self.pairs, dtype=np.int64).reshape(-1, 2)
+        p = np.asarray(self.pairs)
+        if p.dtype.kind not in "biu":
+            p = np.asarray(p, dtype=np.float64)
+            # nan fails this test; inf passes it and fails the range test
+            if not np.all(np.floor(p) == p):
+                raise ValueError("correspondence indices must be whole numbers")
+        p = p.reshape(-1, 2)
         if self.source_size < 0 or self.target_size < 0:
             raise ValueError("cloud sizes must be non-negative")
         if p.shape[0] > 0:
@@ -63,6 +69,7 @@ class CorrespondenceSet:
             increasing = bool(np.all(p[1:, 0] > p[:-1, 0]))
             if not increasing and np.unique(p[:, 0]).size != p.shape[0]:
                 raise ValueError("duplicate source index in correspondence set")
+        p = np.asarray(p, dtype=np.int64)
         p.flags.writeable = False
         object.__setattr__(self, "pairs", p)
 
@@ -392,41 +399,6 @@ class OracleWeighter:
     def __call__(self, matches, source, target):
         labels = label_inliers(matches, source, target, self.true_transform, self.tau)
         return labels.astype(np.float64)
-
-
-class HeuristicWeighter:
-    """Reciprocity times a ratio-test score.
-
-    The reciprocity indicator is 1 when the matched target point's nearest
-    source feature is the pair's own source point. The ratio score is
-    1 - d1/d2 clamped to [0, 1], where d1 is the pair's feature distance and
-    d2 the source feature's second-nearest distance in the target cloud; an
-    exact feature match scores 1 regardless of competitors.
-    """
-
-    def __call__(self, matches, source, target):
-        if source.features is None or target.features is None:
-            raise MissingFeatures("heuristic weighting needs features on both clouds")
-        if len(matches) == 0:
-            return np.zeros(0, dtype=np.float64)
-        si = matches.pairs[:, 0]
-        ti = matches.pairs[:, 1]
-        fs = source.features[si]
-        ft = target.features[ti]
-        d1 = np.linalg.norm(fs - ft, axis=1)
-
-        forward = SpatialIndex(target.features)
-        _, d2 = forward.query_two(fs)
-
-        reverse = SpatialIndex(source.features)
-        back = reverse.nearest(target.features[ti])
-        reciprocal = (back == si).astype(np.float64)
-
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(d2 > 0.0, d1 / d2, np.where(d1 == 0.0, 0.0, np.inf))
-        ratio = np.where(d1 == 0.0, 0.0, ratio)
-        score = np.clip(1.0 - ratio, 0.0, 1.0)
-        return reciprocal * score
 
 
 def weigh(

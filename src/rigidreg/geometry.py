@@ -154,8 +154,9 @@ def voxel_downsample(cloud: PointCloud, voxel_size: float, seed: int) -> PointCl
 
 
 class SpatialIndex:
-    """Exact Euclidean 1-nearest-neighbor index over a fixed set of vectors,
-    built for descriptor vectors.
+    """Exact Euclidean nearest-neighbor index over a fixed set of finite
+    vectors, built for descriptor vectors. It answers one question: which
+    stored vector is nearest to each query row?
 
     A query is one exact linear scan, O(n * m * D) for n query rows
     against m stored D-vectors, taken in blocks of query rows that hold at
@@ -168,6 +169,8 @@ class SpatialIndex:
         arr = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
         if arr.ndim != 2 or arr.shape[0] == 0:
             raise EmptyCloud("index requires at least one vector")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("index vectors contain non-finite values")
         self._data = arr
         squares = np.einsum("ij,ij->i", arr, arr)
         # columns (b, |b|^2): their product with the row (-2q, 1) is
@@ -176,34 +179,14 @@ class SpatialIndex:
         self._largest_square = float(squares.max())
 
     def nearest(self, queries: np.ndarray) -> NDArray[np.int64]:
-        """Nearest stored index of each query row."""
-        return self._scan(queries, 1)[1][0]
-
-    def query_two(self, queries: np.ndarray) -> tuple[NDArray[F64], NDArray[F64]]:
-        """Distances to the first and second nearest stored vectors.
-
-        With a single stored vector the second distance is ``inf``.
-        """
-        q, (first, second) = self._scan(queries, 2)
-        if len(self._data) == 1:
-            return self._distances(q, first), np.full(len(q), np.inf)
-        return self._distances(q, first), self._distances(q, second)
-
-    def _distances(self, q: np.ndarray, picks: np.ndarray) -> NDArray[F64]:
-        return np.linalg.norm(self._data[picks] - q, axis=1)
-
-    def _scan(
-        self, queries: np.ndarray, ranks: int
-    ) -> tuple[NDArray[F64], list[NDArray[np.int64]]]:
-        """The query rows as a 2-D array, and the nearest ``ranks`` (1 or 2)
-        stored indices of each, nearest first, by the distances and tie
-        rule of the class docstring.
+        """Nearest stored index of each query row, by the distances and tie
+        rule of the class docstring. Non-finite queries raise ValueError.
 
         Each block of rows takes one matrix product for its scores
-        ``s_j = |b_j|^2 - 2 q.b_j`` and keeps their ``ranks + 1`` smallest.
-        A row whose kept scores are more than ``margin`` apart is decided
-        by the scores. Any other row is decided by the exact distances of
-        the vectors scored within ``margin`` of its ``ranks``-th smallest.
+        ``s_j = |b_j|^2 - 2 q.b_j`` and keeps their two smallest. A row
+        whose two are more than ``margin`` apart is decided by the scores.
+        Any other row is decided by the exact distances of the vectors
+        scored within ``margin`` of its smallest.
 
         The margin covers float64 rounding. Let u be the unit roundoff, D
         the dimension and ``Q = |q|^2 + max_j |b_j|^2``. A score is a dot
@@ -221,6 +204,8 @@ class SpatialIndex:
         n, (m, dim) = len(q), self._data.shape
         if q.ndim != 2 or q.shape[1] != dim:
             raise ValueError(f"queries must be vectors of length {dim}, got shape {q.shape}")
+        if not np.all(np.isfinite(q)):
+            raise ValueError("queries contain non-finite values")
         rows = max(1, min(n, _BLOCK_ELEMENTS // m))
         scores = np.empty((rows, m))
         lifted = np.ones((rows, dim + 1))
@@ -228,34 +213,22 @@ class SpatialIndex:
         unit_roundoff = np.finfo(np.float64).eps / 2
         margins = 16 * (dim + 2) * unit_roundoff * (
             np.einsum("ij,ij->i", q, q) + self._largest_square)
-        found = [np.empty(n, dtype=np.int64) for _ in range(ranks)]
-        # with one stored vector the scores after the first are all inf;
-        # their difference is nan, which leaves the row decided
-        with np.errstate(invalid="ignore"):
-            for start in range(0, n, rows):
-                block = q[start:start + rows]
-                k = len(block)
-                np.multiply(block, -2.0, out=lifted[:k, :dim])
-                s = np.matmul(lifted[:k], self._columns, out=scores[:k])
-                picks, values = [], []
-                for _ in range(ranks):
-                    picks.append(s.argmin(axis=1))
-                    values.append(s[at[:k], picks[-1]])
-                    s[at[:k], picks[-1]] = np.inf
-                values.append(s.min(axis=1))
-                margin = margins[start:start + k]
-                close = values[1] - values[0] <= margin
-                for lower, upper in zip(values[1:], values[2:]):
-                    close |= upper - lower <= margin
-                for row in close.nonzero()[0]:
-                    for pick, value in zip(picks, values):
-                        s[row, pick[row]] = value[row]
-                    candidates = np.flatnonzero(s[row] <= values[ranks - 1][row] + margin[row])
-                    exact = np.linalg.norm(self._data[candidates] - block[row], axis=1)
-                    # a stable sort keeps the lower index first among equal distances
-                    nearest = candidates[np.argsort(exact, kind="stable")[:ranks]]
-                    for pick, index in zip(picks, nearest):
-                        pick[row] = index
-                for out, pick in zip(found, picks):
-                    out[start:start + k] = pick
-        return q, found
+        found = np.empty(n, dtype=np.int64)
+        for start in range(0, n, rows):
+            block = q[start:start + rows]
+            k = len(block)
+            np.multiply(block, -2.0, out=lifted[:k, :dim])
+            s = np.matmul(lifted[:k], self._columns, out=scores[:k])
+            pick = s.argmin(axis=1)
+            first = s[at[:k], pick]
+            # with one stored vector the runner-up is inf, so no row is close
+            s[at[:k], pick] = np.inf
+            margin = margins[start:start + k]
+            for row in (s.min(axis=1) - first <= margin).nonzero()[0]:
+                s[row, pick[row]] = first[row]
+                candidates = np.flatnonzero(s[row] <= first[row] + margin[row])
+                exact = np.linalg.norm(self._data[candidates] - block[row], axis=1)
+                # argmin keeps the lower index first among equal distances
+                pick[row] = candidates[exact.argmin()]
+            found[start:start + k] = pick
+        return found

@@ -26,7 +26,6 @@ from dataclasses import dataclass, replace
 from .correspondence import (
     CorrespondenceSet,
     FeatureConfig,
-    HeuristicWeighter,
     OracleWeighter,
     UniformWeighter,
     WeightProvider,
@@ -59,9 +58,9 @@ class PipelineConfig:
     """Knobs for the full pipeline, checked when the config is built: an
     invalid value raises ValueError here, not at the first registration.
 
-    ``weighter`` is a provider name: "uniform", "heuristic", or
-    "oracle[:TAU]" (the oracle needs a ground-truth transform and is only
-    resolvable where one exists, e.g. the synthetic benchmark). Weights
+    ``weighter`` is a provider name: "uniform", "oracle" or "oracle:TAU"
+    (the oracle needs a ground-truth transform and is only resolvable
+    where one exists, e.g. the synthetic benchmark). Weights
     computed elsewhere enter through :func:`register_with_correspondences`
     instead. ``prefilter_tau`` is the one prefilter threshold: it governs
     weight normalization, the safeguard statistic and, as refinement gets
@@ -97,15 +96,15 @@ class PipelineConfig:
 
 
 def parse_weighter_spec(spec: str) -> tuple[str, float | None]:
-    """Split a provider name into its kind and argument: ("uniform", None),
-    ("heuristic", None) or ("oracle", TAU or None).
+    """Split a provider name into its kind and argument: ("uniform", None)
+    or ("oracle", TAU or None).
 
     Raises ValueError naming an unknown weighter or an oracle tau that is
     not a finite positive number.
     """
     if not isinstance(spec, str):
         raise ValueError(f"weighter must be a string, got {spec!r}")
-    if spec in ("uniform", "heuristic", "oracle"):
+    if spec in ("uniform", "oracle"):
         return spec, None
     if spec.startswith("oracle:"):
         try:
@@ -116,7 +115,7 @@ def parse_weighter_spec(spec: str) -> tuple[str, float | None]:
                 f"bad oracle tau in {spec!r}: expected a finite positive number"
             ) from None
         return "oracle", tau
-    raise ValueError(f"unknown weighter {spec!r} (expected uniform, heuristic or oracle[:TAU])")
+    raise ValueError(f"unknown weighter {spec!r} (expected uniform, oracle or oracle:TAU)")
 
 
 def resolve_weighter(spec: str, ground_truth=None) -> WeightProvider:
@@ -124,8 +123,6 @@ def resolve_weighter(spec: str, ground_truth=None) -> WeightProvider:
     kind, argument = parse_weighter_spec(spec)
     if kind == "uniform":
         return UniformWeighter()
-    if kind == "heuristic":
-        return HeuristicWeighter()
     if ground_truth is None:
         raise ValueError(
             "oracle weighter requires a ground-truth transform; it is only "

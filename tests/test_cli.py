@@ -108,7 +108,7 @@ def test_register_out_flag_redirects_document(capsys, tmp_path, cloud_pair):
 def test_register_with_config_file(capsys, tmp_path, cloud_pair):
     src, tgt, truth = cloud_pair
     cfg = tmp_path / "pipeline.cfg"
-    cfg.write_text("weighter = heuristic\nvoxel_size = 0.05\n")
+    cfg.write_text("seed = 3\nvoxel_size = 0.05\n")
     assert main(["register", "--source", str(src), "--target", str(tgt),
                  "--config", str(cfg)]) == 0
     _assert_pose_close(json.loads(capsys.readouterr().out), truth)

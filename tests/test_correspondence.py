@@ -17,7 +17,6 @@ from rigidreg import (
     CorrespondenceSet,
     DimensionMismatch,
     FeatureConfig,
-    HeuristicWeighter,
     MissingFeatures,
     OracleWeighter,
     PointCloud,
@@ -51,6 +50,16 @@ def test_correspondence_set_validation():
     with pytest.raises(ValueError):
         CorrespondenceSet(np.array([[-1, 0]]), 1, 1)
     assert len(CorrespondenceSet(np.zeros((0, 2), dtype=np.int64), 5, 5)) == 0
+
+
+def test_correspondence_set_refuses_fractional_indices():
+    # they used to be truncated: [[0.7, 1.9]] became [[0, 1]]
+    for pairs in ([[0.7, 1.9]], [[0.0, 1.5]], [[math.nan, 0.0]]):
+        with pytest.raises(ValueError, match="whole numbers"):
+            CorrespondenceSet(np.array(pairs), 2, 2)
+    with pytest.raises(ValueError, match="target index out of range"):
+        CorrespondenceSet(np.array([[0.0, math.inf]]), 2, 2)
+    assert CorrespondenceSet(np.array([[1.0, 0.0]]), 2, 2).pairs.tolist() == [[1, 0]]
 
 
 def test_correspondence_set_refuses_duplicate_sources_in_any_order():
@@ -563,41 +572,6 @@ def test_oracle_weighter_default_tau():
     matches = CorrespondenceSet(np.array([[0, 0]]), 1, 1)
     assert OracleWeighter(RigidTransform.identity())(matches, src, tgt_in)[0] == 1.0
     assert OracleWeighter(RigidTransform.identity())(matches, src, tgt_out)[0] == 0.0
-
-
-def test_heuristic_weighter_hand_values():
-    # 1-d features; pair 0: d1 = 1, second-nearest 9 -> 1 - 1/9 = 8/9
-    #               pair 1: d1 = 3, second-nearest 5 -> 1 - 3/5 = 2/5
-    # both matches are mutual nearest, so reciprocity keeps them
-    src = PointCloud(np.zeros((2, 3)), features=np.array([[0.0], [6.0]]))
-    tgt = PointCloud(np.zeros((2, 3)), features=np.array([[1.0], [9.0]]))
-    matches = CorrespondenceSet(np.array([[0, 0], [1, 1]]), 2, 2)
-    w = HeuristicWeighter()(matches, src, tgt)
-    np.testing.assert_allclose(w, [8.0 / 9.0, 0.4], atol=1e-15)
-
-
-def test_heuristic_weighter_zeroes_non_reciprocal():
-    # source 2 at feature 0.5 steals target 0's back-match from source 0
-    src = PointCloud(np.zeros((3, 3)), features=np.array([[0.0], [6.0], [0.5]]))
-    tgt = PointCloud(np.zeros((2, 3)), features=np.array([[1.0], [9.0]]))
-    matches = CorrespondenceSet(np.array([[0, 0], [1, 1]]), 3, 2)
-    w = HeuristicWeighter()(matches, src, tgt)
-    assert w[0] == 0.0
-    assert abs(w[1] - 0.4) < 1e-15
-
-
-def test_heuristic_weighter_exact_match_scores_one():
-    src = PointCloud(np.zeros((1, 3)), features=np.array([[1.0]]))
-    tgt = PointCloud(np.zeros((2, 3)), features=np.array([[1.0], [9.0]]))
-    matches = CorrespondenceSet(np.array([[0, 0]]), 1, 2)
-    w = HeuristicWeighter()(matches, src, tgt)
-    assert w[0] == 1.0
-
-
-def test_heuristic_weighter_needs_features(patch_cloud):
-    matches = CorrespondenceSet(np.array([[0, 0]]), len(patch_cloud), len(patch_cloud))
-    with pytest.raises(MissingFeatures):
-        HeuristicWeighter()(matches, patch_cloud, patch_cloud)
 
 
 def test_weigh_validates_provider_output():

@@ -192,7 +192,6 @@ def test_index_self_query(rng):
     pts = rng.normal(size=(50, 3))
     index = SpatialIndex(pts)
     assert index.nearest(pts[17]).tolist() == [17]
-    assert index.query_two(pts[17])[0].tolist() == [0.0]
 
 
 def test_index_collinear_example():
@@ -201,7 +200,6 @@ def test_index_collinear_example():
     # one stored vector: the missing second neighbor is no tie
     single = SpatialIndex(pts[2:])
     assert single.nearest(np.array([1.9, 0.0, 0.0])).tolist() == [0]
-    assert abs(single.query_two(np.array([1.9, 0.0, 0.0]))[0][0] - 1.1) < 1e-12
 
 
 def test_index_matches_linear_scan(rng):
@@ -209,12 +207,11 @@ def test_index_matches_linear_scan(rng):
     queries = rng.normal(size=(100, 3))
     index = SpatialIndex(data)
     got_idx = index.nearest(queries)
-    got_dist, _ = index.query_two(queries)
     bf_idx, bf_dist = nearest_bruteforce(data, queries)
     for row in range(100):
         oracle_idx, oracle_dist = nearest_linear(data, queries[row])
         assert got_idx[row] == oracle_idx == bf_idx[row]
-        assert abs(got_dist[row] - oracle_dist) < 1e-12
+        assert abs(np.linalg.norm(data[got_idx[row]] - queries[row]) - oracle_dist) < 1e-12
         assert abs(bf_dist[row] - oracle_dist) < 1e-12
 
 
@@ -231,15 +228,25 @@ def test_index_breaks_ties_toward_lowest_index():
     assert bf_idx[0] == 0
 
 
-def test_index_query_two_reports_inf_for_singleton():
-    index = SpatialIndex(np.array([[0.0, 0.0, 0.0]]))
-    d1, d2 = index.query_two(np.array([1.0, 0.0, 0.0]))
-    assert d1[0] == 1.0 and math.isinf(d2[0])
-
-
 def test_index_feature_space_requires_features():
     with pytest.raises(EmptyCloud):
         SpatialIndex(np.zeros((0, 3)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_index_refuses_non_finite_vectors(bad):
+    # a nan row would otherwise score below every other and be "nearest"
+    with pytest.raises(ValueError, match="non-finite"):
+        SpatialIndex(np.array([[bad, 0.0, 0.0], [1.0, 0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_index_refuses_non_finite_queries(bad):
+    index = SpatialIndex(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
+    with pytest.raises(ValueError, match="non-finite"):
+        index.nearest(np.array([bad, 0.0, 0.0]))
+    with pytest.raises(ValueError, match="non-finite"):
+        index.nearest(np.array([[1.0, 0.0, 0.0], [0.0, bad, 0.0]]))
 
 
 @settings(deadline=None, max_examples=20)
@@ -255,22 +262,12 @@ def test_index_agrees_with_scan_under_duplicates(seed):
         assert got[row] == want
 
 
-def _sorted_scan(data, query):
-    """The two smallest row distances of a linear scan (inf stands in for a
-    missing second)."""
-    dist = np.sort(np.linalg.norm(data - query, axis=1))
-    return dist[0], (dist[1] if len(dist) > 1 else math.inf)
-
-
 def _check_against_scan(data, queries):
-    index = SpatialIndex(data)
-    idx = index.nearest(queries)
-    d1, d2 = index.query_two(queries)
+    idx = SpatialIndex(data).nearest(queries)
+    bf_idx, bf_dist = nearest_bruteforce(data, queries)
+    assert idx.tolist() == bf_idx.tolist()
     for row, q in enumerate(np.atleast_2d(queries)):
-        want, want_dist = nearest_linear(data, q)
-        assert idx[row] == want
-        assert (d1[row], d2[row]) == _sorted_scan(data, q)
-        assert d1[row] == want_dist
+        assert (idx[row], bf_dist[row]) == nearest_linear(data, q)
 
 
 def test_scan_breaks_exact_ties_and_duplicates_toward_lowest_index(rng):
@@ -300,7 +297,6 @@ def test_scan_separates_distances_one_ulp_apart():
     # the same pair competing for second place behind an exact match
     data = np.concatenate([data[:2], [[1.0, 0.0, 0.0]]])
     _check_against_scan(data, np.array([1.0, 0.0, 0.0]))
-    assert SpatialIndex(data).query_two(np.array([1.0, 0.0, 0.0]))[1].tolist() == [near]
 
 
 def test_scan_handles_zero_rows():
@@ -327,15 +323,12 @@ def test_scan_is_exact_on_unnormalized_rows(rng):
 def test_scan_with_one_stored_vector():
     data = np.array([[1.0, 2.0, 2.0]])
     _check_against_scan(data, np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 2.0]]))
-    d1, d2 = SpatialIndex(data).query_two(np.zeros((2, 3)))
-    assert d1.tolist() == [3.0, 3.0] and math.isinf(d2[0]) and math.isinf(d2[1])
 
 
 def test_scan_takes_a_one_dimensional_query(rng):
     data = rng.normal(size=(40, 11))
     idx = SpatialIndex(data).nearest(data[7] + 1e-3)
-    d1, d2 = SpatialIndex(data).query_two(data[7] + 1e-3)
-    assert idx.shape == d1.shape == d2.shape == (1,)
+    assert idx.shape == (1,)
     _check_against_scan(data, data[7] + 1e-3)
 
 
@@ -349,13 +342,10 @@ def test_scan_results_do_not_depend_on_the_block_size(monkeypatch, rng):
     grid = rng.integers(0, 3, size=(200, 5)).astype(np.float64)  # many ties
     cases = [(grid, rng.integers(0, 3, size=(90, 5)).astype(np.float64)),
              (rng.normal(size=(500, 11)), rng.normal(size=(300, 11)))]
-    default = [(SpatialIndex(d).nearest(q), SpatialIndex(d).query_two(q)) for d, q in cases]
+    default = [SpatialIndex(d).nearest(q) for d, q in cases]
     monkeypatch.setattr(geometry, "_BLOCK_ELEMENTS", 1)  # one query row per block
-    for (d, q), (idx, (d1, d2)) in zip(cases, default):
-        got_idx = SpatialIndex(d).nearest(q)
-        got_d1, got_d2 = SpatialIndex(d).query_two(q)
-        assert np.array_equal(got_idx, idx)
-        assert np.array_equal(got_d1, d1) and np.array_equal(got_d2, d2)
+    for (d, q), idx in zip(cases, default):
+        assert np.array_equal(SpatialIndex(d).nearest(q), idx)
 
 
 def _hard_nearest_cases(rng):
@@ -387,9 +377,8 @@ def test_nearest_agrees_with_the_oracle_on_hard_rows(monkeypatch, rng, rows_per_
             # hard rows fall on both sides of each split between blocks
             monkeypatch.setattr(geometry, "_BLOCK_ELEMENTS", rows_per_block * len(data))
         index = SpatialIndex(data)
-        want_idx, want_dist = nearest_bruteforce(data, queries)
+        want_idx, _ = nearest_bruteforce(data, queries)
         assert index.nearest(queries).tolist() == want_idx.tolist()
-        assert index.query_two(queries)[0].tobytes() == want_dist.tobytes()
 
 
 def test_scan_memory_stays_bounded(rng):

@@ -417,6 +417,8 @@ def test_readme_config_table_lists_exactly_the_config_keys():
         ("voxel_size = -1\n", "invalid configuration"),
         ("weighter = psychic\n", "unknown weighter"),
         ("weighter = file:\n", "unknown weighter"),
+        ("weighter = heuristic\n",
+         "unknown weighter 'heuristic' (expected uniform, oracle or oracle:TAU)"),
         ("weighter = oracle:big\n", "bad oracle tau"),
         ("weighter = oracle:-1\n", "bad oracle tau"),
         ("feature.radius = inf\n", "radius must be finite"),

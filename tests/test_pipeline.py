@@ -24,7 +24,6 @@ from rigidreg import (
     CorrespondenceSet,
     EmptyCloud,
     FeatureConfig,
-    HeuristicWeighter,
     LengthMismatch,
     MAIN_BRANCH,
     MissingFeatures,
@@ -226,11 +225,18 @@ def test_config_refuses_a_missing_refine_block():
 
 def test_resolve_weighter_names():
     assert isinstance(resolve_weighter("uniform"), UniformWeighter)
-    assert isinstance(resolve_weighter("heuristic"), HeuristicWeighter)
     truth = RigidTransform.identity()
     ow = resolve_weighter("oracle", ground_truth=truth)
     assert isinstance(ow, OracleWeighter) and ow.tau == 0.1
     assert resolve_weighter("oracle:0.3", ground_truth=truth).tau == 0.3
+
+
+def test_config_refuses_the_removed_heuristic_weighter():
+    accepted = r"'heuristic' \(expected uniform, oracle or oracle:TAU\)"
+    with pytest.raises(ValueError, match=accepted):
+        PipelineConfig(weighter="heuristic")
+    with pytest.raises(ValueError, match=accepted):
+        resolve_weighter("heuristic")
 
 
 def test_resolve_weighter_rejects_bad_names():
@@ -269,14 +275,6 @@ def test_register_recovers_known_transform(patch_cloud):
     assert all(v >= 0.0 for v in res.stage_seconds.values())
     assert res.correspondence_count == len(src)  # spaced-out cloud keeps every point
     assert res.trace is not None
-
-
-def test_register_heuristic_weighter(patch_cloud):
-    src, tgt, truth = _pair(patch_cloud.points)
-    res = register(src, tgt, PipelineConfig(weighter="heuristic"))
-    assert res.branch == MAIN_BRANCH
-    assert math.degrees(quaternion_angle(res.transform.rotation, truth.rotation)) < 1e-9
-    assert res.inlier_fraction > 0.99
 
 
 def test_register_explicit_provider_overrides_config(patch_cloud):
