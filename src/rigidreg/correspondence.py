@@ -25,7 +25,7 @@ from .errors import (
     _check_count,
     _check_length,
 )
-from .geometry import F64, PointCloud, RigidTransform, SpatialIndex
+from .geometry import F64, PointCloud, RigidTransform, SpatialIndex, _readonly
 
 _DESCRIPTORS = ("local_histogram", "precomputed")
 
@@ -41,9 +41,9 @@ _HISTOGRAM_CHUNK = 2**14
 
 @dataclass(frozen=True)
 class CorrespondenceSet:
-    """Index pairs (i, j) linking a source cloud of ``source_size`` points
-    to a target cloud of ``target_size`` points; each source index appears
-    at most once. An index that is not a whole number raises ValueError."""
+    """Index pairs (i, j), kept as a read-only int64 copy, that link a source cloud of
+    ``source_size`` points to a target cloud of ``target_size`` points; each source index
+    appears at most once. An index that is not a whole number raises ValueError."""
 
     pairs: NDArray[np.int64]
     source_size: int
@@ -69,9 +69,7 @@ class CorrespondenceSet:
             increasing = bool(np.all(p[1:, 0] > p[:-1, 0]))
             if not increasing and np.unique(p[:, 0]).size != p.shape[0]:
                 raise ValueError("duplicate source index in correspondence set")
-        p = np.asarray(p, dtype=np.int64)
-        p.flags.writeable = False
-        object.__setattr__(self, "pairs", p)
+        object.__setattr__(self, "pairs", _readonly(p, np.int64))
 
     def __len__(self) -> int:
         return self.pairs.shape[0]
@@ -79,7 +77,7 @@ class CorrespondenceSet:
 
 @dataclass(frozen=True)
 class WeightVector:
-    """Per-correspondence confidence values in [0, 1]."""
+    """Per-correspondence confidence values in [0, 1], kept as a read-only copy."""
 
     values: NDArray[F64]
 
@@ -89,8 +87,7 @@ class WeightVector:
             raise ValueError("weights must be finite")
         if v.size and (v.min() < 0.0 or v.max() > 1.0):
             raise ValueError("weights must lie in [0, 1]")
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _readonly(v))
 
     def __len__(self) -> int:
         return self.values.shape[0]

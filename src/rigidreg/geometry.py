@@ -8,8 +8,9 @@ Conventions used throughout the package:
 - rotations are ``(3, 3)`` matrices acting on column vectors, so a point
   ``p`` maps to ``R @ p + t``.
 
-All containers are frozen dataclasses whose arrays are made read-only at
-construction, so instances can be shared freely across threads.
+All containers are frozen dataclasses that keep a read-only copy of each
+array they are given, so a later write to the caller's array cannot reach
+a validated container and instances can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -31,17 +32,20 @@ ORTHONORMALITY_TOL = 1e-9
 _EYE = np.eye(3)
 # blocked scans hold at most this many float64 values (0.5 MB) at a time
 _BLOCK_ELEMENTS = 2**16
+# SpatialIndex refuses vectors whose squared norm reaches this: below it,
+# every score and distance of its scan is under 2**1023, so none overflows
+_SQUARED_NORM_LIMIT = 2.0**1020
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=np.float64, copy=True)
+def _readonly(a: np.ndarray, dtype=np.float64) -> np.ndarray:
+    out = np.array(a, dtype=dtype, copy=True)
     out.flags.writeable = False
     return out
 
 
 @dataclass(frozen=True)
 class PointCloud:
-    """An ordered set of 3D points with optional per-point feature vectors."""
+    """Ordered 3D points and optional per-point features, both kept as read-only copies."""
 
     points: Points
     features: NDArray[F64] | None = None
@@ -93,7 +97,7 @@ class RigidTransform:
     """A proper rigid motion: rotation ``R`` in SO(3) plus translation ``t``.
 
     Construction validates the rotation with :func:`is_rotation` and raises
-    NotARotation on a matrix that fails it.
+    NotARotation on a matrix that fails it; both arrays are kept as read-only copies.
     """
 
     rotation: Mat3
@@ -153,6 +157,16 @@ def voxel_downsample(cloud: PointCloud, voxel_size: float, seed: int) -> PointCl
     return PointCloud(cloud.points[chosen], feats)
 
 
+def _squared_norms(a: np.ndarray, what: str) -> NDArray[F64]:
+    """Squared norms of the rows of ``a``; ValueError when one reaches
+    ``_SQUARED_NORM_LIMIT``, an overflow to inf included."""
+    with np.errstate(over="ignore"):
+        squares = np.einsum("ij,ij->i", a, a)
+    if not np.all(squares < _SQUARED_NORM_LIMIT):
+        raise ValueError(f"{what} must have squared norms below 2**1020")
+    return squares
+
+
 class SpatialIndex:
     """Exact Euclidean nearest-neighbor index over a fixed set of finite
     vectors, built for descriptor vectors. It answers one question: which
@@ -162,7 +176,9 @@ class SpatialIndex:
     against m stored D-vectors, taken in blocks of query rows that hold at
     most ``2**16`` distances (0.5 MB) at a time. Distances are the row
     norms ``np.linalg.norm(data - q, axis=1)``, and ties go to the lowest
-    stored index, as a linear scan would.
+    stored index, as a linear scan would. Stored vectors and queries must
+    be finite, with squared norms below ``2**1020`` (about 1.1e307), so a
+    squared norm that overflows float64 raises ValueError, and no warning.
     """
 
     def __init__(self, data: np.ndarray):
@@ -171,8 +187,8 @@ class SpatialIndex:
             raise EmptyCloud("index requires at least one vector")
         if not np.all(np.isfinite(arr)):
             raise ValueError("index vectors contain non-finite values")
+        squares = _squared_norms(arr, "index vectors")
         self._data = arr
-        squares = np.einsum("ij,ij->i", arr, arr)
         # columns (b, |b|^2): their product with the row (-2q, 1) is
         # |b|^2 - 2 q.b, the squared distance to q less the |q|^2 every b shares
         self._columns = np.ascontiguousarray(np.column_stack([arr, squares]).T)
@@ -212,7 +228,7 @@ class SpatialIndex:
         at = np.arange(rows)
         unit_roundoff = np.finfo(np.float64).eps / 2
         margins = 16 * (dim + 2) * unit_roundoff * (
-            np.einsum("ij,ij->i", q, q) + self._largest_square)
+            _squared_norms(q, "queries") + self._largest_square)
         found = np.empty(n, dtype=np.int64)
         for start in range(0, n, rows):
             block = q[start:start + rows]

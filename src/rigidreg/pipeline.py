@@ -171,10 +171,13 @@ if hasattr(os, "register_at_fork"):
 
 # the fewest points a cloud of the pair needs for the helper to take only
 # the work that allocates little (correspondence._describe_pair) rather
-# than the whole target. A whole cloud on the helper leaves its arrays in
-# the helper's malloc arena: on 3.8k-point pairs that cost 15 MB (+13 %)
-# of peak RSS for 1-8 % of speed, on 700-point pairs about 3 MB (+2.6 %),
-# and there the whole-cloud split described the pair faster
+# than the whole target, and half of the match scan. A whole cloud on the
+# helper leaves its arrays in the helper's malloc arena: on 3.8k-point
+# pairs that cost 15 MB (+13 %) of peak RSS for 1-8 % of speed, on
+# 700-point pairs about 3 MB (+2.6 %), and there the whole-cloud split
+# described the pair faster. There the hand-off of half the match scan
+# also cost more than it saved: on 60 such pairs match_nearest took a
+# median of 0.35 ms split across the two threads, 0.32 ms in one scan
 _CONCURRENT_POINTS = 2000
 
 
@@ -206,18 +209,17 @@ def _helper_for(feature: FeatureConfig) -> Executor | None:
 
 
 def _describe(source: PointCloud, target: PointCloud, feature: FeatureConfig,
-              helper: Executor | None):
+              helper: Executor | None, large: bool):
     """Both clouds with features attached. With a ``helper`` they are
-    described at once. When both clouds are below ``_CONCURRENT_POINTS``
-    points, the helper describes the whole target while the calling
-    thread describes the source; otherwise the helper takes only the work
-    that allocates little (see ``correspondence._describe_pair``). A task
-    the helper has not started is taken back (``correspondence._HandOff``).
-    Without a helper each cloud is described in turn on the calling
-    thread, the source first."""
+    described at once. For a ``large`` pair the helper takes only the work
+    that allocates little (see ``correspondence._describe_pair``);
+    otherwise it describes the whole target while the calling thread
+    describes the source. A task the helper has not started is taken back
+    (``correspondence._HandOff``). Without a helper each cloud is
+    described in turn on the calling thread, the source first."""
     if helper is None:
         return compute_features(source, feature), compute_features(target, feature)
-    if max(len(source), len(target)) < _CONCURRENT_POINTS:
+    if not large:
         with _HandOff(helper) as tasks:
             described_target = tasks.start(compute_features, target, feature)
             return compute_features(source, feature), tasks.finish(described_target)
@@ -307,12 +309,15 @@ def register(
             raise EmptyCloud("fewer than 3 points survive voxel downsampling")
 
         helper = _helper_for(cfg.feature)
+        # only a pair with a cloud of _CONCURRENT_POINTS or more is split
+        # to describe and to match; a smaller one is matched here in one scan
+        large = max(len(source_d), len(target_d)) >= _CONCURRENT_POINTS
         begin = time.perf_counter()
-        source_d, target_d = _describe(source_d, target_d, cfg.feature, helper)
+        source_d, target_d = _describe(source_d, target_d, cfg.feature, helper, large)
         stage_seconds["features"] = time.perf_counter() - begin
 
         begin = time.perf_counter()
-        matches = match_nearest(source_d, target_d, helper)
+        matches = match_nearest(source_d, target_d, helper if large else None)
         stage_seconds["match"] = time.perf_counter() - begin
 
         begin = time.perf_counter()

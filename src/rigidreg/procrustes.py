@@ -23,6 +23,7 @@ and ``.transform``, the pose as a checked :class:`RigidTransform`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -38,7 +39,7 @@ from .errors import (
     TooFewCorrespondences,
     WeightLengthMismatch,
 )
-from .geometry import F64, RigidTransform
+from .geometry import F64, RigidTransform, _readonly
 
 # rank test: rotation is underdetermined when the weighted points are
 # collinear or coincident, i.e. the second singular value vanishes
@@ -56,7 +57,7 @@ class NormalizedWeights:
 
     ``w_tilde`` is phi(w)/||phi(w)||_1 with phi the :func:`prefilter`;
     ``scale`` keeps ||phi(w)||_1 so the raw surviving weights can be
-    reconstructed as ``w_tilde * scale``.
+    reconstructed as ``w_tilde * scale``. ``w_tilde`` is kept as a read-only copy.
     """
 
     w_tilde: NDArray[F64]
@@ -68,12 +69,15 @@ class NormalizedWeights:
             raise ValueError("empty weight vector")
         if w.min() < 0.0:
             raise ValueError("normalized weights must be non-negative")
-        if abs(w.sum() - 1.0) > 1e-12:
+        total = float(w.sum())
+        # a nan or inf weight makes the sum non-finite
+        if not math.isfinite(total):
+            raise ValueError("normalized weights must be finite")
+        if abs(total - 1.0) > 1e-12:
             raise ValueError("normalized weights must sum to 1")
-        if not self.scale > 0.0:
-            raise ValueError("scale must be positive")
-        w.flags.writeable = False
-        object.__setattr__(self, "w_tilde", w)
+        if not 0.0 < self.scale < math.inf:
+            raise ValueError("scale must be positive and finite")
+        object.__setattr__(self, "w_tilde", _readonly(w))
 
 
 def prefilter(weights: WeightVector, tau: float) -> WeightVector:

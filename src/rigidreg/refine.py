@@ -38,7 +38,7 @@ from .errors import (
     _check_count,
     _check_length,
 )
-from .geometry import F64, Mat3, PointCloud, RigidTransform, Vec3, is_rotation
+from .geometry import F64, Mat3, PointCloud, RigidTransform, Vec3, _readonly, is_rotation
 from .procrustes import NormalizedWeights, solve
 
 _PARALLEL_TOL = 1e-12
@@ -47,7 +47,7 @@ _PARALLEL_TOL = 1e-12
 @dataclass(frozen=True)
 class Rot6D:
     """The (a1, a2) rotation parameterization; a1 must be nonzero and a2
-    must keep a component orthogonal to a1."""
+    must keep a component orthogonal to a1. Both are kept as read-only copies."""
 
     a1: Vec3
     a2: Vec3
@@ -63,10 +63,8 @@ class Rot6D:
             raise DegenerateRepresentation("a1 must be nonzero")
         if nu <= _PARALLEL_TOL:
             raise DegenerateRepresentation("a2 is (near-)parallel to a1")
-        a1.flags.writeable = False
-        a2.flags.writeable = False
-        object.__setattr__(self, "a1", a1)
-        object.__setattr__(self, "a2", a2)
+        object.__setattr__(self, "a1", _readonly(a1))
+        object.__setattr__(self, "a2", _readonly(a2))
 
 
 @dataclass(frozen=True)
@@ -129,7 +127,7 @@ def _checked_rotation(R: np.ndarray) -> Mat3:
 def matrix_to_rot6d(R: np.ndarray) -> Rot6D:
     """Drop the third column; the first two determine the rotation."""
     R = _checked_rotation(R)
-    return Rot6D(R[:, 0].copy(), R[:, 1].copy())
+    return Rot6D(R[:, 0], R[:, 1])
 
 
 def _through_6d(R: np.ndarray) -> Mat3:

@@ -11,11 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rigidreg import (
+    CorrespondenceSet,
     EmptyCloud,
+    NormalizedWeights,
     NotARotation,
     PointCloud,
     RigidTransform,
+    Rot6D,
     SpatialIndex,
+    WeightVector,
+    matrix_to_rot6d,
     voxel_downsample,
 )
 from rigidreg.geometry import is_rotation
@@ -37,6 +42,43 @@ def test_point_cloud_validation():
     cloud = PointCloud(np.zeros((3, 3)), features=np.ones((3, 5)))
     assert len(cloud) == 3 and cloud.features is not None
     assert not cloud.points.flags.writeable
+
+
+_QUARTER_TURN = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+_X, _Y = np.eye(3)[:2]
+# per array a container takes: the container made from the caller's array,
+# a valid such array, and the array the container keeps; matrix_to_rot6d
+# hands the columns of a rotation on to Rot6D
+_TAKEN = {
+    "PointCloud.points": (PointCloud, np.ones((2, 3)), lambda c: c.points),
+    "PointCloud.features": (lambda a: PointCloud(np.zeros((2, 3)), a), np.ones((2, 4)),
+                            lambda c: c.features),
+    "RigidTransform.rotation": (lambda a: RigidTransform(a, np.zeros(3)), _QUARTER_TURN,
+                                lambda c: c.rotation),
+    "RigidTransform.translation": (lambda a: RigidTransform(np.eye(3), a), np.ones(3),
+                                   lambda c: c.translation),
+    "CorrespondenceSet": (lambda a: CorrespondenceSet(a, 2, 2), np.array([[0, 1], [1, 0]]),
+                          lambda c: c.pairs),
+    "WeightVector": (WeightVector, np.array([0.25, 1.0]), lambda c: c.values),
+    "NormalizedWeights": (lambda a: NormalizedWeights(a, 1.0), np.array([0.25, 0.75]),
+                          lambda c: c.w_tilde),
+    "Rot6D.a1": (lambda a: Rot6D(a, _Y), _X, lambda c: c.a1),
+    "Rot6D.a2": (lambda a: Rot6D(_X, a), _Y, lambda c: c.a2),
+    "matrix_to_rot6d": (matrix_to_rot6d, _QUARTER_TURN, lambda c: c.a1),
+}
+
+
+@pytest.mark.parametrize("name", list(_TAKEN))
+def test_containers_keep_a_read_only_copy_of_the_callers_array(name):
+    build, valid, kept = _TAKEN[name]
+    given = valid.copy()
+    container = build(given)
+    before = kept(container).copy()
+    assert not np.shares_memory(kept(container), given)
+    assert not kept(container).flags.writeable
+    # out of range as an index or a weight, and no rotation
+    given[...] = 7
+    assert kept(container).tobytes() == before.tobytes()
 
 
 def test_rigid_transform_rejects_non_rotations():
@@ -247,6 +289,31 @@ def test_index_refuses_non_finite_queries(bad):
         index.nearest(np.array([bad, 0.0, 0.0]))
     with pytest.raises(ValueError, match="non-finite"):
         index.nearest(np.array([[1.0, 0.0, 0.0], [0.0, bad, 0.0]]))
+
+
+def test_index_refuses_squared_norms_that_overflow():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="index vectors must have squared norms below"):
+            SpatialIndex(np.array([[0.0, 0.0, 0.0], [1e200, 0.0, 0.0]]))
+        index = SpatialIndex(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
+        for queries in ([[1e200, 0.0, 0.0], [9e199, 0.0, 0.0]],
+                        [[1.0, 0.0, 0.0], [0.0, 1e155, 0.0]]):
+            with pytest.raises(ValueError, match="queries must have squared norms below"):
+                index.nearest(np.array(queries))
+
+
+def test_index_matches_exactly_just_below_the_norm_limit():
+    # squared norms a little under 2**1020: the scores of opposite vectors,
+    # and their distances, come near 2**1022 without overflowing
+    big = math.sqrt(2.0**1020) * (1.0 - 1e-15)
+    data = np.array([[big, 0.0, 0.0], [-big, 0.0, 0.0], [0.0, big, 0.0], [0.0, 0.0, 0.0]])
+    queries = np.array([[-big, 0.0, 0.0], [big, 0.0, 0.0], [0.0, -big, 0.0],
+                        [big / 2, big / 2, 0.0], [1.0, 0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _check_against_scan(data, queries)
+        assert SpatialIndex(data).nearest(queries).tolist() == [1, 0, 3, 0, 3]
 
 
 @settings(deadline=None, max_examples=20)

@@ -601,6 +601,8 @@ def _outlier_pair():
 
 # every step of a pair on the calling thread, none on the helper
 _SERIAL = [], ["histogram", "descriptor", "histogram", "descriptor", "scan"]
+# a small pair with the helper: its whole target there, the rest here
+_HELPED = ["histogram", "descriptor"], ["histogram", "descriptor", "scan"]
 
 
 @pytest.mark.parametrize("make", [_dense_pair, _outlier_pair], ids=["dense", "outliers"])
@@ -627,10 +629,9 @@ def test_concurrent_and_serial_description_agree(monkeypatch, make):
         assert _split_steps(runs["2"][0]) == (["histogram", "histogram", "descriptor", "scan"],
                                               ["descriptor", "scan"])
     else:
-        # the whole target of the small pair and the second scan half on
-        # the helper, the whole source and the first half here
-        assert _split_steps(runs["2"][0]) == (["histogram", "descriptor", "scan"],
-                                              ["histogram", "descriptor", "scan"])
+        # the whole target of the small pair on the helper, the whole
+        # source and the one scan here
+        assert _split_steps(runs["2"][0]) == _HELPED
     assert _split_steps(runs["1"][0]) == _SERIAL
 
 
@@ -667,15 +668,18 @@ def test_precomputed_without_features_raises_the_source_error_first(
 
 @pytest.mark.parametrize("caller_fails", [False, True])
 def test_register_returns_after_the_helper_is_done(monkeypatch, caller_fails):
-    _check_register_returns_after_the_helper(monkeypatch, caller_fails, _dense_pair)
+    _check_register_returns_after_the_helper(monkeypatch, caller_fails, _dense_pair,
+                                             ("describe", "match"))
 
 
 @pytest.mark.parametrize("caller_fails", [False, True])
 def test_register_returns_after_the_helper_is_done_on_a_small_pair(monkeypatch, caller_fails):
-    _check_register_returns_after_the_helper(monkeypatch, caller_fails, _outlier_pair)
+    # a small pair is matched on the calling thread alone
+    _check_register_returns_after_the_helper(monkeypatch, caller_fails, _outlier_pair,
+                                             ("describe",))
 
 
-def _check_register_returns_after_the_helper(monkeypatch, caller_fails, make):
+def _check_register_returns_after_the_helper(monkeypatch, caller_fails, make, stages):
     # in each stage the helper's task is slowed, and the caller's work
     # waits until the helper has begun, then fails or goes on
     monkeypatch.setenv("DGR_THREADS", "2")
@@ -709,7 +713,7 @@ def _check_register_returns_after_the_helper(monkeypatch, caller_fails, make):
             return fn(*args)
         return failing
 
-    for stage in ("describe", "match"):
+    for stage in stages:
         started.clear()
         begun.clear()
         ended.clear()
@@ -736,10 +740,10 @@ def test_a_busy_helper_gives_its_work_back(monkeypatch):
 
 
 def test_a_busy_helper_gives_a_small_pair_back(monkeypatch):
-    # the whole target, then the second scan half
+    # the whole target; the scan was never handed off
     _check_a_busy_helper_gives_its_work_back(
         monkeypatch, _outlier_pair,
-        ("histogram", "descriptor", "histogram", "descriptor", "scan", "scan"))
+        ("histogram", "descriptor", "histogram", "descriptor", "scan"))
 
 
 def _check_a_busy_helper_gives_its_work_back(monkeypatch, make, steps):
@@ -755,7 +759,7 @@ def _check_a_busy_helper_gives_its_work_back(monkeypatch, make, steps):
     finally:
         release.set()
         blocker.result(timeout=60)
-    # every task given back: both halves of the scan ran here too
+    # every task given back ran here, a dense pair's second scan half too
     assert names == [(step, threading.current_thread().name) for step in steps]
     monkeypatch.setenv("DGR_THREADS", "1")
     _, serial_matched = _record_description(monkeypatch)
@@ -855,8 +859,6 @@ def _registrations_held(count):
             thread.join(60)
     assert not any(thread.is_alive() for thread in threads)
 
-
-_HELPED = ["histogram", "descriptor", "scan"], ["histogram", "descriptor", "scan"]
 
 
 @pytest.mark.parametrize("threads, held, schedule", [

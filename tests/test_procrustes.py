@@ -81,6 +81,18 @@ def test_normalized_weights_container_validation():
         NormalizedWeights(np.zeros(0), 1.0)
 
 
+@pytest.mark.parametrize("w_tilde, scale", [
+    ([np.nan, 0.25, 0.25, 0.25, 0.25], 1.0),
+    ([np.inf, 0.25, 0.25, 0.25, 0.25], 1.0),
+    ([0.2] * 5, np.inf),
+    ([0.2] * 5, np.nan),
+], ids=["nan-weight", "inf-weight", "inf-scale", "nan-scale"])
+def test_normalized_weights_refuse_non_finite_values(w_tilde, scale):
+    # a nan weight used to reach the SVD, which raised LinAlgError
+    with pytest.raises(ValueError, match="finite"):
+        NormalizedWeights(np.array(w_tilde), scale)
+
+
 # ---------------------------------------------------------------------------
 # solver
 # ---------------------------------------------------------------------------

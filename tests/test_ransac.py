@@ -433,7 +433,7 @@ def _walk_case(seed, n=200, outlier_ratio=0.5, noise=0.004, on_line=0):
 
 
 # name: (pair, RansacConfig fields, what the sequential loop must show as
-# (hypotheses, draws)); blocks start at 64 samples. The spectral rank puts
+# (hypotheses, draws)); blocks start at 8 samples. The spectral rank puts
 # clean inliers first, so only noise near the threshold and few inliers
 # delay the stop; without a stop the budget or the draw cap binds.
 _WALK_CASES = {
