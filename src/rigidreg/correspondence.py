@@ -27,8 +27,6 @@ from .errors import (
 )
 from .geometry import F64, PointCloud, RigidTransform, SpatialIndex, _readonly
 
-_DESCRIPTORS = ("local_histogram", "precomputed")
-
 # neighbor pairs per chunk of the distance histogram: its temporaries then
 # take about 1 MB; 2**13 to 2**16 ran within 20 % of each other, and this
 # size was the fastest on the benchmark's dense clouds
@@ -95,7 +93,8 @@ class WeightVector:
 
 @dataclass(frozen=True)
 class FeatureConfig:
-    """Descriptor choice and its parameters.
+    """Parameters of the ``local_histogram`` descriptor, which
+    :func:`compute_features` gives a cloud that carries no features.
 
     ``local_histogram`` is invariant to translation and rotation: a
     ``bins``-bin histogram of neighbor distances plus the three normalized
@@ -105,19 +104,12 @@ class FeatureConfig:
     clamped to ``bins - 1``, so a distance equal to ``radius`` goes to the
     last bin; the point itself counts once in bin 0. ``radius`` must be
     finite and positive, ``bins`` an integer of at least 2.
-    ``precomputed`` renormalizes features already attached to the cloud,
-    such as learned descriptors. Only a Python caller can attach them:
-    config files and benchmark suites refuse it, since clouds read from
-    files or generated for a suite carry no features.
     """
 
-    descriptor: str = "local_histogram"
     radius: float = 0.25
     bins: int = 8
 
     def __post_init__(self) -> None:
-        if self.descriptor not in _DESCRIPTORS:
-            raise ValueError(f"unknown descriptor {self.descriptor!r}")
         _check_length("radius", self.radius)
         _check_count("bins", self.bins, 2)
 
@@ -294,20 +286,17 @@ def compute_features(cloud: PointCloud, cfg: FeatureConfig) -> PointCloud:
     """Attach a unit-norm descriptor to every point; deterministic given
     inputs, down to the last bit.
 
-    ``local_histogram`` finds each point's neighbors with one k-d tree
-    pair query and sums their moments with one sparse product whose terms
-    are added in a fixed order. ``precomputed`` raises ``MissingFeatures``
-    when the cloud has no features attached.
+    Features the cloud already carries, such as learned descriptors, are
+    kept and renormalized; a zero row stays zero. Any other cloud gets
+    ``local_histogram``: each point's neighbors come from one k-d tree
+    pair query and their moments from one sparse product whose terms are
+    added in a fixed order.
     """
     if len(cloud) == 0:
         raise EmptyCloud("cannot compute features on an empty cloud")
-    if cfg.descriptor == "local_histogram":
-        feats = _local_histogram(cloud.points, cfg.radius, cfg.bins)
-    else:  # precomputed
-        if cloud.features is None:
-            raise MissingFeatures("precomputed descriptor requires attached features")
-        feats = _normalize_rows(cloud.features)
-    return cloud.with_features(feats)
+    if cloud.features is not None:
+        return cloud.with_features(_normalize_rows(cloud.features))
+    return cloud.with_features(_local_histogram(cloud.points, cfg.radius, cfg.bins))
 
 
 # ---------------------------------------------------------------------------

@@ -526,18 +526,13 @@ def run_benchmark(
     completion. Pairs are evaluated in parallel up to
     :func:`worker_count` threads, with aggregation independent of schedule.
     An explicit ``weighter`` overrides ``cfg.weighter`` for every pair, same
-    as in :func:`register`. A ``precomputed`` descriptor is refused before
-    any pair is read, since generated and PLY clouds carry no features; so
-    is a success threshold that is not finite and positive.
+    as in :func:`register`. A success threshold that is not finite and
+    positive is refused before any pair is read.
     """
     if len(suite) == 0:
         raise ValueError("benchmark suite is empty")
     _check_length("re_threshold", re_threshold)
     _check_length("te_threshold", te_threshold)
-    if cfg.feature.descriptor == "precomputed":
-        raise ValueError(
-            "descriptor 'precomputed' needs attached features; suite clouds have none"
-        )
     begin = time.perf_counter()
 
     with ThreadPoolExecutor(max_workers=min(worker_count(), len(suite))) as pool:

@@ -134,12 +134,17 @@ def voxel_downsample(cloud: PointCloud, voxel_size: float, seed: int) -> PointCl
     Cells are ``floor(coordinate / voxel_size)`` per axis with the grid
     origin at (0, 0, 0). Output points are ordered by cell key, so the
     result is deterministic given the seed and idempotent at fixed grid.
+    A cell index outside the int64 range raises ValueError.
     """
     _check_length("voxel_size", voxel_size)
     if len(cloud) == 0:
         raise EmptyCloud("cannot downsample an empty cloud")
 
-    keys = np.floor(cloud.points / voxel_size).astype(np.int64)
+    with np.errstate(over="ignore"):  # an overflowing quotient is inf, refused below
+        cells = np.floor(cloud.points / voxel_size)
+    if not np.all(np.abs(cells) < 2.0**63):
+        raise ValueError(f"voxel_size {voxel_size!r} puts cell indices outside the int64 range")
+    keys = cells.astype(np.int64)
     # lexicographic order over (kx, ky, kz); stable sort keeps original
     # order within a cell so the uniform draw below is well defined
     order = np.lexsort((keys[:, 2], keys[:, 1], keys[:, 0]))

@@ -165,12 +165,14 @@ def _read_ascii_vertices(handle, path, elements, vertex, columns, header_lines):
         if element is vertex:
             break
         cursor += element.count  # ASCII rows are line-aligned, lists included
+    if cursor + vertex.count > len(data):
+        # before allocating, so a count no file can hold is a located error
+        row_no = line_no + max(cursor, len(data)) + 1
+        raise FileFormatError(f"{path}:{row_no}: missing vertex row")
     points = np.empty((vertex.count, 3), dtype=np.float64)
     width = len(vertex.properties)
     for k in range(vertex.count):
         row_no = line_no + cursor + k + 1
-        if cursor + k >= len(data):
-            raise FileFormatError(f"{path}:{row_no}: missing vertex row")
         tokens = data[cursor + k].split()
         if len(tokens) != width:
             raise FileFormatError(
@@ -367,10 +369,9 @@ def parse_config_file(path, base: PipelineConfig = PipelineConfig()) -> Pipeline
     """Apply a flat ``key = value`` config file to ``base``.
 
     Keys the file leaves out keep their values in ``base``. Blank lines and
-    ``#`` comments are allowed; unknown or duplicate keys, unparsable values
-    and ``feature.descriptor = precomputed`` (which no cloud read from a
-    file can satisfy) are rejected naming the file and line, values the
-    config classes refuse naming the file and the setting.
+    ``#`` comments are allowed; unknown or duplicate keys and unparsable
+    values are rejected naming the file and line, values the config
+    classes refuse naming the file and the setting.
     """
     path = os.fspath(path)
     with open(path, "r", encoding="utf-8") as handle:
@@ -395,12 +396,6 @@ def parse_config_file(path, base: PipelineConfig = PipelineConfig()) -> Pipeline
                 f"{where}: duplicate key {key!r} (first on line {seen[key] + 1})"
             )
         seen[key] = index
-        if key == "feature.descriptor" and value == "precomputed":
-            # a cloud read from a file never carries features
-            raise FileFormatError(
-                f"{where}: descriptor 'precomputed' needs features attached "
-                "in Python; clouds read from files have none"
-            )
         section, field, converter = _CONFIG_KEYS[key]
         try:
             sections[section][field] = converter(value)
@@ -471,10 +466,13 @@ def read_pose_json(path) -> RigidTransform:
     if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
                for v in rotation + translation):
         raise FileFormatError(f"{path}: pose entries must be numbers")
-    R = np.array(rotation, dtype=np.float64).reshape(3, 3)
-    t = np.array(translation, dtype=np.float64)
     try:
+        # a JSON integer beyond float64's range raises OverflowError here
+        R = np.array(rotation, dtype=np.float64).reshape(3, 3)
+        t = np.array(translation, dtype=np.float64)
         return RigidTransform(R, t)
+    except OverflowError:
+        raise FileFormatError(f"{path}: pose entries must fit in a float64") from None
     except NotARotation as exc:
         raise FileFormatError(f"{path}: {exc}") from None
 

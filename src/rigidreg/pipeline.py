@@ -40,6 +40,7 @@ from .errors import (
     DegenerateConfiguration,
     EmptyCloud,
     LengthMismatch,
+    MissingFeatures,
     NoConsensus,
     RegistrationFailed,
     TooFewCorrespondences,
@@ -194,30 +195,36 @@ def _in_flight():
             _running -= 1
 
 
-def _helper_for(feature: FeatureConfig) -> Executor | None:
-    """The helper thread, when it takes part in this registration: for
-    ``local_histogram`` features, while fewer registrations run in the
-    process, this one included, than :func:`worker_count`. Otherwise
-    None, and the pair is described and matched on the calling thread
-    alone: the other registrations already keep the cores busy, and there
-    the helper's hand-offs slowed suites of 1k-point pairs by 3-12 %."""
+def _helper_for() -> Executor | None:
+    """The helper thread, when it takes part in this registration: while
+    fewer registrations run in the process, this one included, than
+    :func:`worker_count`. Otherwise None, and the pair is described and
+    matched on the calling thread alone: the other registrations already
+    keep the cores busy, and there the helper's hand-offs slowed suites of
+    1k-point pairs by 3-12 %."""
     # one read of an int: a registration starting or ending meanwhile
     # only moves the decision one way or the other
-    if feature.descriptor != "local_histogram" or _running >= worker_count():
+    if _running >= worker_count():
         return None
     return _describer
 
 
 def _describe(source: PointCloud, target: PointCloud, feature: FeatureConfig,
               helper: Executor | None, large: bool):
-    """Both clouds with features attached. With a ``helper`` they are
-    described at once. For a ``large`` pair the helper takes only the work
-    that allocates little (see ``correspondence._describe_pair``);
-    otherwise it describes the whole target while the calling thread
-    describes the source. A task the helper has not started is taken back
-    (``correspondence._HandOff``). Without a helper each cloud is
-    described in turn on the calling thread, the source first."""
-    if helper is None:
+    """Both clouds with features attached. Clouds that carry features keep
+    them, renormalized, on the calling thread; a pair where only one does
+    raises MissingFeatures naming the other, before either is described.
+    Otherwise, with a ``helper`` both clouds are described at once. For a
+    ``large`` pair the helper takes only the work that allocates little
+    (see ``correspondence._describe_pair``); otherwise it describes the
+    whole target while the calling thread describes the source. A task the
+    helper has not started is taken back (``correspondence._HandOff``).
+    Without a helper each cloud is described in turn on the calling
+    thread, the source first."""
+    if (source.features is None) != (target.features is None):
+        lacking = "source" if source.features is None else "target"
+        raise MissingFeatures(f"the {lacking} cloud carries no features but the other does")
+    if helper is None or source.features is not None:
         return compute_features(source, feature), compute_features(target, feature)
     if not large:
         with _HandOff(helper) as tasks:
@@ -291,7 +298,8 @@ def register(
     cfg: PipelineConfig,
     weighter: WeightProvider | None = None,
 ) -> RegistrationResult:
-    """Full pipeline on raw clouds.
+    """Full pipeline on raw clouds, matched on the features they carry,
+    such as learned descriptors, or else on ``local_histogram``.
 
     ``weighter`` overrides the provider named in the config; callers that
     know a ground truth use it to pass an oracle.
@@ -308,7 +316,7 @@ def register(
         if len(source_d) < 3 or len(target_d) < 3:
             raise EmptyCloud("fewer than 3 points survive voxel downsampling")
 
-        helper = _helper_for(cfg.feature)
+        helper = _helper_for()
         # only a pair with a cloud of _CONCURRENT_POINTS or more is split
         # to describe and to match; a smaller one is matched here in one scan
         large = max(len(source_d), len(target_d)) >= _CONCURRENT_POINTS

@@ -83,7 +83,7 @@ def test_register_writes_pose_to_stdout_only(capsys, cloud_pair):
 
 
 def test_register_precomputed_config_names_the_line(capsys, tmp_path, cloud_pair):
-    # clouds read from PLY carry no features, so the config line is refused
+    # the descriptor follows from the clouds, so no config key chooses it
     src, tgt, _ = cloud_pair
     cfg = tmp_path / "features.cfg"
     cfg.write_text("feature.descriptor = precomputed\n")
@@ -91,7 +91,7 @@ def test_register_precomputed_config_names_the_line(capsys, tmp_path, cloud_pair
                  "--config", str(cfg)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"{cfg}:1: descriptor 'precomputed'" in captured.err
+    assert f"{cfg}:1: unknown key 'feature.descriptor'" in captured.err
 
 
 def test_register_out_flag_redirects_document(capsys, tmp_path, cloud_pair):

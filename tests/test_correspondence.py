@@ -1,5 +1,6 @@
 """Descriptors, matching, inlier labels, and weight providers."""
 
+import dataclasses
 import importlib
 import math
 import threading
@@ -86,31 +87,33 @@ def test_weight_vector_validation():
 # ---------------------------------------------------------------------------
 
 def test_feature_config_validation():
-    with pytest.raises(ValueError):
-        FeatureConfig("no_such_descriptor")
-    # coordinates as features are not rotation invariant
-    with pytest.raises(ValueError):
+    # the descriptor follows from the clouds, so only its parameters are set
+    assert [f.name for f in dataclasses.fields(FeatureConfig)] == ["radius", "bins"]
+    with pytest.raises(TypeError):
+        FeatureConfig(descriptor="local_histogram")
+    # a descriptor name in the first place is a radius, and not a length
+    with pytest.raises(ValueError, match="radius"):
         FeatureConfig("raw_xyz")
     with pytest.raises(ValueError):
-        FeatureConfig("local_histogram", radius=0.0)
+        FeatureConfig(radius=0.0)
     with pytest.raises(ValueError):
-        FeatureConfig("local_histogram", bins=1)
+        FeatureConfig(bins=1)
     # an infinite radius would make every pair of points neighbors
     for radius in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError):
-            FeatureConfig("local_histogram", radius=radius)
+            FeatureConfig(radius=radius)
     # a fractional bin count used to fail later, inside compute_features
     for bins in (2.5, 8.0):
         with pytest.raises(ValueError):
-            FeatureConfig("local_histogram", bins=bins)
-    assert FeatureConfig("local_histogram", bins=np.int64(4)).bins == 4
+            FeatureConfig(bins=bins)
+    assert FeatureConfig(bins=np.int64(4)).bins == 4
 
 
 def test_isolated_point_descriptor_is_unit_bin_zero():
     # no neighbors within the radius: histogram holds only the self count
     # and the covariance is zero, so the descriptor is exactly e_0
     pts = np.array([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0]])
-    out = compute_features(PointCloud(pts), FeatureConfig("local_histogram", radius=0.25, bins=8))
+    out = compute_features(PointCloud(pts), FeatureConfig(radius=0.25, bins=8))
     expected = np.zeros(11)
     expected[0] = 1.0
     np.testing.assert_array_equal(out.features[0], expected)
@@ -123,7 +126,7 @@ def test_two_point_descriptor_hand_value():
     # covariance has a single nonzero eigenvalue, eigen fractions (1, 0, 0),
     # then the row is L2-normalized: norm^2 = 0.25 + 0.25 + 1 = 1.5
     pts = np.array([[0.0, 0.0, 0.0], [0.1, 0.0, 0.0]])
-    out = compute_features(PointCloud(pts), FeatureConfig("local_histogram", radius=0.25, bins=8))
+    out = compute_features(PointCloud(pts), FeatureConfig(radius=0.25, bins=8))
     s = 1.0 / math.sqrt(1.5)
     expected = np.array([0.5 * s, 0, 0, 0.5 * s, 0, 0, 0, 0, s, 0, 0])
     np.testing.assert_allclose(out.features[0], expected, atol=1e-12)
@@ -135,7 +138,7 @@ def test_neighbor_at_exactly_radius_lands_in_last_bin():
     # slot = floor(0.25 / 0.25 * 8) = 8 is clamped to bins - 1 = 7, giving
     # histogram (1, 0, ..., 0, 1)/2 and the same eigen fractions as above
     pts = np.array([[0.0, 0.0, 0.0], [0.25, 0.0, 0.0]])
-    out = compute_features(PointCloud(pts), FeatureConfig("local_histogram", radius=0.25, bins=8))
+    out = compute_features(PointCloud(pts), FeatureConfig(radius=0.25, bins=8))
     s = 1.0 / math.sqrt(1.5)
     expected = np.array([0.5 * s, 0, 0, 0, 0, 0, 0, 0.5 * s, s, 0, 0])
     np.testing.assert_allclose(out.features[0], expected, atol=1e-12)
@@ -147,14 +150,14 @@ def test_duplicate_point_lands_in_bin_zero():
     # and the covariance of two equal points is exactly zero, so the
     # descriptor is exactly e_0
     pts = np.array([[0.1, 0.2, 0.3], [0.1, 0.2, 0.3]])
-    out = compute_features(PointCloud(pts), FeatureConfig("local_histogram", radius=0.25, bins=8))
+    out = compute_features(PointCloud(pts), FeatureConfig(radius=0.25, bins=8))
     expected = np.zeros(11)
     expected[0] = 1.0
     np.testing.assert_array_equal(out.features, [expected, expected])
 
 
 def test_descriptor_rigid_invariance(patch_cloud, rng):
-    cfg = FeatureConfig("local_histogram", radius=0.25, bins=8)
+    cfg = FeatureConfig(radius=0.25, bins=8)
     base = compute_features(patch_cloud, cfg)
     T = RigidTransform(rodrigues(rng.normal(size=3), 1.3), np.array([0.4, -2.0, 1.1]))
     moved = compute_features(PointCloud(T.apply(patch_cloud.points)), cfg)
@@ -162,7 +165,7 @@ def test_descriptor_rigid_invariance(patch_cloud, rng):
 
 
 def test_descriptor_deterministic(patch_cloud):
-    cfg = FeatureConfig("local_histogram")
+    cfg = FeatureConfig()
     a = compute_features(patch_cloud, cfg)
     b = compute_features(patch_cloud, cfg)
     np.testing.assert_array_equal(a.features, b.features)
@@ -173,17 +176,19 @@ def test_descriptor_separates_shapes():
     rng = np.random.default_rng(0)
     ball = rng.normal(scale=0.05, size=(40, 3))
     pts = np.vstack([ball, [[5.0, 5.0, 5.0]]])
-    out = compute_features(PointCloud(pts), FeatureConfig("local_histogram"))
+    out = compute_features(PointCloud(pts), FeatureConfig())
     assert np.linalg.norm(out.features[0] - out.features[-1]) > 0.1
 
 
 def test_precomputed_descriptor_renormalizes():
+    # features a cloud carries are kept and renormalized, a zero row stays zero
     cloud = PointCloud(np.zeros((2, 3)), features=np.array([[3.0, 4.0], [0.0, 0.0]]))
-    out = compute_features(cloud, FeatureConfig("precomputed"))
+    out = compute_features(cloud, FeatureConfig())
     np.testing.assert_allclose(out.features[0], [0.6, 0.8], atol=1e-15)
     np.testing.assert_array_equal(out.features[1], [0.0, 0.0])
-    with pytest.raises(MissingFeatures):
-        compute_features(PointCloud(np.zeros((2, 3))), FeatureConfig("precomputed"))
+    # a cloud that carries none gets the local histogram of its points
+    bare = compute_features(PointCloud(np.zeros((2, 3))), FeatureConfig(bins=4))
+    np.testing.assert_array_equal(bare.features, [[1.0] + [0.0] * 6] * 2)
 
 
 def _add_at_local_histogram(points, radius, bins):
@@ -262,7 +267,7 @@ def _unit_cube_clouds(n):
     ],
 )
 def test_descriptor_matches_add_at_reference(make_clouds, radius, bins):
-    cfg = FeatureConfig("local_histogram", radius=radius, bins=bins)
+    cfg = FeatureConfig(radius=radius, bins=bins)
     for cloud in make_clouds():
         expected = _add_at_local_histogram(cloud.points, radius, bins)
         assert np.array_equal(compute_features(cloud, cfg).features, expected)
@@ -303,7 +308,7 @@ def test_descriptor_memory_stays_bounded():
     # the stream the bincount sums gathered into, would not fit under the
     # bound
     cloud = _recipe_clouds(_DENSE_RECIPE, 0.02, 11)[0]
-    cfg = FeatureConfig("local_histogram", radius=0.25, bins=8)
+    cfg = FeatureConfig(radius=0.25, bins=8)
     tracemalloc.start()
     try:
         compute_features(cloud, cfg)
@@ -355,7 +360,7 @@ def test_descriptor_frees_the_pair_list_before_the_product(monkeypatch):
     monkeypatch.setattr(module, "cKDTree", Tree)
     monkeypatch.setattr(module, "coo_array", adjacency)
     cloud = _recipe_clouds(_OUTLIER_RECIPE, 0.05, 5)[0]
-    compute_features(cloud, FeatureConfig("local_histogram", radius=0.25, bins=8))
+    compute_features(cloud, FeatureConfig(radius=0.25, bins=8))
     assert len(pair_lists) == 1 and built == [True]
 
 
@@ -364,7 +369,7 @@ def test_descriptor_frees_the_pair_list_before_the_product(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_match_identity_on_distinct_descriptors(patch_cloud):
-    cfg = FeatureConfig("local_histogram", radius=0.25, bins=8)
+    cfg = FeatureConfig(radius=0.25, bins=8)
     src = compute_features(patch_cloud, cfg)
     # the fixture is built so every neighborhood differs; check that first
     f = src.features
@@ -515,10 +520,11 @@ def test_oracle_tau_must_be_finite():
 
 
 def test_feature_config_checks_radius_and_bins_for_every_descriptor():
+    # checked even though a cloud that carries features never reads them
     with pytest.raises(ValueError, match="radius"):
-        FeatureConfig("precomputed", radius=-1.0)
+        FeatureConfig(radius=-1.0)
     with pytest.raises(ValueError, match="bins"):
-        FeatureConfig("precomputed", bins=0)
+        FeatureConfig(bins=0)
 
 
 def test_label_inliers_matches_construction(rng):

@@ -10,7 +10,6 @@ import pytest
 
 import rigidreg.io
 from rigidreg import (
-    FeatureConfig,
     FilePairSpec,
     PairMetrics,
     PipelineConfig,
@@ -470,21 +469,6 @@ def test_run_benchmark_empty_suite_rejected():
         run_benchmark([], PipelineConfig(), 0.1, 0.1)
 
 
-def test_run_benchmark_refuses_precomputed_descriptor(tmp_path, patch_cloud, monkeypatch):
-    # generated and PLY clouds carry no features, so every pair would fail
-    # with MissingFeatures; the suite is refused before any pair is read
-    cloud = tmp_path / "cloud.ply"
-    write_ply(patch_cloud, cloud)
-    reads = []
-    monkeypatch.setattr(rigidreg.io, "read_ply", lambda path: reads.append(path))
-    suite = [FilePairSpec(str(cloud), str(cloud), str(tmp_path / "pose.json")),
-             SyntheticPairSpec(n_points=50, seed=1)]
-    cfg = PipelineConfig(feature=FeatureConfig("precomputed"))
-    with pytest.raises(ValueError, match="precomputed"):
-        run_benchmark(suite, cfg, math.radians(15.0), 0.30)
-    assert reads == []
-
-
 @pytest.mark.parametrize(
     "re_threshold, te_threshold, name",
     [(0.2, math.nan, "te_threshold"), (-1.0, 0.3, "re_threshold"),
@@ -559,14 +543,24 @@ def test_run_benchmark_reads_file_pairs_through_io(tmp_path, patch_cloud, monkey
 @pytest.mark.parametrize("problem, error", [
     ("missing", "FileNotFoundError"),
     ("malformed", "FileFormatError"),
+    ("overcounted", "FileFormatError"),
+    ("overflowing-pose", "FileFormatError"),
 ])
 def test_run_benchmark_bad_pair_file_is_a_failed_row(tmp_path, problem, error):
     cloud = tmp_path / "cloud.ply"
     if problem == "malformed":
         cloud.write_text("not a ply file\n")
+    elif problem == "overcounted":
+        # a vertex count no file holds, over one row
+        cloud.write_text("ply\nformat ascii 1.0\nelement vertex 100000000000\n"
+                         "property double x\nproperty double y\nproperty double z\n"
+                         "end_header\n1 2 3\n")
+    elif problem == "overflowing-pose":
+        write_ply(PointCloud(np.eye(3)), cloud)
     pose = tmp_path / "pose.json"
+    first = 10**400 if problem == "overflowing-pose" else 1
     pose.write_text(json.dumps({
-        "rotation": [1, 0, 0, 0, 1, 0, 0, 0, 1],
+        "rotation": [first, 0, 0, 0, 1, 0, 0, 0, 1],
         "translation": [0, 0, 0],
     }))
     suite = [_CLEAN_SUITE[0], FilePairSpec(str(cloud), str(cloud), str(pose))]

@@ -216,6 +216,23 @@ def test_voxel_rejects_a_non_finite_size(voxel_size):
         voxel_downsample(PointCloud(np.eye(3)), voxel_size, seed=0)
 
 
+@pytest.mark.parametrize("scale, voxel_size", [(1.0, 1e-20), (1e300, 1e-20), (-1e10, 1e-9)],
+                         ids=["tiny-voxel", "quotient-overflows", "negative-far"])
+def test_voxel_refuses_cell_indices_outside_int64(rng, scale, voxel_size):
+    # the cast to int64 used to wrap silently, merging distinct cells
+    cloud = PointCloud(scale * rng.uniform(0.5, 1.0, size=(100, 3)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="outside the int64 range"):
+            voxel_downsample(cloud, voxel_size, seed=0)
+
+
+def test_voxel_keeps_every_cell_just_inside_int64(rng):
+    # coordinates near 1e18 cells from the origin still index exactly
+    pts = rng.uniform(-1.0, 1.0, size=(100, 3))
+    assert len(voxel_downsample(PointCloud(pts), 1e-18, seed=0)) == 100
+
+
 @settings(deadline=None, max_examples=25)
 @given(seed=st.integers(0, 10_000))
 def test_voxel_one_point_per_cell_property(seed):

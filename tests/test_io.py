@@ -17,8 +17,10 @@ from rigidreg import (
     PointCloud,
     RansacConfig,
     RefineConfig,
+    RefineTrace,
     RegistrationResult,
     RigidTransform,
+    SAFEGUARD_BRANCH,
     SyntheticPairSpec,
     UnsupportedFormat,
     parse_config_file,
@@ -176,6 +178,15 @@ def test_ply_vertex_list_property_unsupported(tmp_path):
     )
     with pytest.raises(UnsupportedFormat):
         read_ply(path)
+    # binary rows before the vertex element have no fixed stride with a list
+    path.write_bytes(
+        b"ply\nformat binary_little_endian 1.0\n"
+        b"element face 1\nproperty list uchar int vertex_indices\n"
+        b"element vertex 1\nproperty double x\nproperty double y\nproperty double z\n"
+        b"end_header\n" + bytes(1) + np.zeros(3, dtype="<f8").tobytes()
+    )
+    with pytest.raises(UnsupportedFormat, match="list properties before the vertex element"):
+        read_ply(path)
 
 
 @pytest.mark.parametrize(
@@ -188,11 +199,17 @@ def test_ply_vertex_list_property_unsupported(tmp_path):
         ("ply\nformat ascii 1.0\nproperty double x\nend_header\n", "property before"),
         ("ply\nformat ascii 1.0\nwavelength 9\nend_header\n", "unexpected header keyword"),
         ("ply\nformat ascii 1.0\nelement vertex 1\nproperty qword x\nend_header\n", "unknown property type"),
+        ("ply\nformat ascii 1.0\nelement vertex 1\n", ":4: unexpected end of header"),
+        ("ply\nformat ascii 1.0\ncomment caf\u00e9\nend_header\n", ":3: non-ASCII header byte"),
+        ("ply\nformat ascii 1.0\nelement vertex\nend_header\n", ":3: malformed element line"),
+        ("ply\nformat ascii 1.0\nelement vertex -1\nend_header\n", ":3: negative element count"),
+        ("ply\nformat ascii 1.0\nelement vertex 1\nproperty double\nend_header\n",
+         ":4: malformed property line"),
     ],
 )
 def test_ply_header_errors_are_located(tmp_path, content, fragment):
     path = tmp_path / "bad.ply"
-    path.write_text(content)
+    path.write_bytes(content.encode("utf-8"))
     with pytest.raises(FileFormatError) as err:
         read_ply(path)
     assert fragment in str(err.value)
@@ -233,8 +250,13 @@ def test_ply_ascii_row_errors_are_located(tmp_path):
     with pytest.raises(FileFormatError, match=r":9: non-finite"):
         read_ply(path)
     path.write_text(head + "1 2 3\n")
-    with pytest.raises(FileFormatError, match="missing vertex row"):
+    with pytest.raises(FileFormatError, match=r":9: missing vertex row"):
         read_ply(path)
+    # a count no file holds is refused before anything is allocated for it
+    for count in ("100000000000", "3000000000000000000"):
+        path.write_text(head.replace("vertex 2", f"vertex {count}") + "1 2 3\n")
+        with pytest.raises(FileFormatError, match=r":9: missing vertex row"):
+            read_ply(path)
 
 
 def test_ply_binary_truncation_and_nan(tmp_path):
@@ -289,6 +311,11 @@ def test_weight_file_first_line_is_magic(tmp_path):
         ("DGRW 1\nsizes 1 1\ncount 1\n0 0 1.5\n", "weight 1.5 outside"),
         ("DGRW 1\nsizes 1 1\ncount 1\n0 0 inf\n", "weight inf outside"),
         ("DGRW 1\n", "truncated header"),
+        ("DGRW 1\nsizes 1 one\ncount 0\n", ":2: sizes must be integers"),
+        ("DGRW 1\nsizes 1 1\nentries 0\n", ":3: expected 'count K'"),
+        ("DGRW 1\nsizes 1 1\ncount 0.5\n", ":3: count must be an integer"),
+        ("DGRW 1\nsizes 1 1\ncount -1\n", ":3: count must be non-negative"),
+        ("DGRW 1\nsizes 1 1\ncount 1\n0 1 0.5\n", ":4: target index 1 outside [0, 1)"),
     ],
 )
 def test_weight_file_errors_are_located(tmp_path, content, fragment):
@@ -297,6 +324,13 @@ def test_weight_file_errors_are_located(tmp_path, content, fragment):
     with pytest.raises(FileFormatError) as err:
         read_weight_file(path)
     assert fragment in str(err.value)
+
+
+def test_weight_file_writer_refuses_unpaired_weights(tmp_path):
+    path = tmp_path / "w.dgrw"
+    with pytest.raises(ValueError, match="pairs and weights differ in length"):
+        write_weight_file(path, 2, 2, [[0, 0], [1, 1]], [0.5])
+    assert not path.exists()
 
 
 def test_weight_file_rejects_crlf_and_bad_encoding(tmp_path):
@@ -323,7 +357,6 @@ def test_config_full_round_trip(tmp_path):
         "seed = 5\n"
         "weighter = oracle:0.25\n"
         "\n"
-        "feature.descriptor = local_histogram\n"
         "feature.radius = 0.5\n"
         "feature.bins = 16\n"
         "refine.huber_delta = 0.02\n"
@@ -422,9 +455,10 @@ def test_readme_config_table_lists_exactly_the_config_keys():
         ("weighter = oracle:big\n", "bad oracle tau"),
         ("weighter = oracle:-1\n", "bad oracle tau"),
         ("feature.radius = inf\n", "radius must be finite"),
-        ("feature.descriptor = raw_xyz\n", "unknown descriptor 'raw_xyz'"),
+        # the descriptor follows from the clouds; there is no key to set it
+        ("feature.descriptor = raw_xyz\n", "unknown key 'feature.descriptor'"),
         ("voxel_size = 0.1\nfeature.descriptor = precomputed\n",
-         ":2: descriptor 'precomputed' needs features attached"),
+         ":2: unknown key 'feature.descriptor'"),
         ("refine.huber_delta = inf\n", "huber_delta must be finite"),
         ("voxel_size = inf\n", "voxel_size must be finite"),
         ("refine.convergence_tol = inf\n", "convergence_tol must be finite"),
@@ -545,6 +579,19 @@ def _sample_result():
     )
 
 
+@pytest.mark.parametrize("change, fragment", [
+    ({"branch": "heuristic"}, "unknown branch 'heuristic'"),
+    ({"inlier_fraction": 1.5}, "inlier_fraction must lie in [0, 1]"),
+    ({"correspondence_count": -1}, "correspondence_count must be non-negative"),
+    ({"branch": SAFEGUARD_BRANCH, "trace": RefineTrace((1.0,), 0, "converged")},
+     "safeguard results carry no refinement trace"),
+], ids=["branch", "inlier_fraction", "correspondence_count", "safeguard_trace"])
+def test_registration_result_refuses_inconsistent_fields(change, fragment):
+    with pytest.raises(ValueError) as err:
+        dataclasses.replace(_sample_result(), **change)
+    assert fragment in str(err.value)
+
+
 def test_pose_json_round_trips_doubles():
     result = _sample_result()
     doc = json.loads(pose_json(result))
@@ -577,6 +624,9 @@ def test_pose_file_round_trip(tmp_path):
          "must be numbers"),
         ('{"rotation": [1,0,0,0,1,0,0,0,1], "translation": [0,"0.5",0]}', "must be numbers"),
         ('{"rotation": [2,0,0,0,2,0,0,0,2], "translation": [0,0,0]}', "rotation"),
+        # an integer too large for float64 used to escape as OverflowError
+        pytest.param('{"rotation": [1' + "0" * 400 + ',0,0,0,1,0,0,0,1], "translation": [0,0,0]}',
+                     "pose entries must fit in a float64", id="integer-beyond-float64"),
     ],
 )
 def test_read_pose_json_errors(tmp_path, content, fragment):

@@ -51,7 +51,7 @@ from rigidreg import (
     write_weight_file,
 )
 
-from _oracles import quaternion_angle, rodrigues
+from _oracles import nearest_bruteforce, quaternion_angle, rodrigues
 
 
 _R = rodrigues(np.array([0.3, -0.2, 0.9]), 0.6)
@@ -645,25 +645,77 @@ def _featured_clouds(source_has, target_has):
     return clouds
 
 
+class _Described(Exception):
+    """Raised in place of matching, carrying the two described clouds."""
+
+
 @pytest.mark.parametrize("threads", ["2", "1"])
-@pytest.mark.parametrize("source_has, target_has, raised_by",
+@pytest.mark.parametrize("source_has, target_has, first",
                          [(False, True, 2500), (True, False, 2600), (False, False, 2500)])
 def test_precomputed_without_features_raises_the_source_error_first(
-        monkeypatch, threads, source_has, target_has, raised_by):
+        monkeypatch, threads, source_has, target_has, first):
+    # a pair where one cloud carries features fails naming the other cloud,
+    # of `first` points, before either is described; a pair where neither
+    # does gets the local histogram, the cloud of `first` points first
     monkeypatch.setenv("DGR_THREADS", threads)
+    described = []
+    rows = _correspondence._neighbor_rows
+
+    def recorded(points, radius):
+        described.append(len(points))
+        return rows(points, radius)
+
+    def stop(source, target, helper):
+        raise _Described(source, target)
+
+    monkeypatch.setattr(_correspondence, "_neighbor_rows", recorded)
+    monkeypatch.setattr(_pipeline, "match_nearest", stop)
+    source, target = _featured_clouds(source_has, target_has)
+    cfg = PipelineConfig(voxel_size=0.001)
+    if source_has or target_has:
+        lacking = "source" if first == len(source) else "target"
+        with pytest.raises(MissingFeatures, match=f"^the {lacking} cloud carries no features"):
+            register(source, target, cfg)
+        assert described == []
+        return
+    with pytest.raises(_Described) as stopped:
+        register(source, target, cfg)
+    assert described == [first, len(target)]
+    for cloud in stopped.value.args:
+        bare = _correspondence.compute_features(PointCloud(cloud.points), cfg.feature)
+        assert cloud.features.tobytes() == bare.features.tobytes()
+
+
+@pytest.mark.parametrize("threads", ["2", "1"])
+@pytest.mark.parametrize("size", ["large", "small"])
+def test_clouds_that_carry_features_are_matched_on_them(monkeypatch, threads, size):
+    # the features are renormalized on the calling thread, never replaced
+    # by descriptors, and each source point is matched to its nearest
+    # target feature
+    monkeypatch.setenv("DGR_THREADS", threads)
+    source, target = _featured_clouds(True, True)
+    if size == "small":
+        source, target = (PointCloud(c.points[:300], c.features[:300]) for c in (source, target))
+    steps, matched = _record_description(monkeypatch)
+    described = []
     compute = _pipeline.compute_features
 
-    def tagged(cloud, cfg):
-        try:
-            return compute(cloud, cfg)
-        except MissingFeatures as exc:
-            raise MissingFeatures(f"{len(cloud)} points") from exc
+    def recorded(cloud, cfg):
+        described.append(threading.current_thread().name)
+        return compute(cloud, cfg)
 
-    monkeypatch.setattr(_pipeline, "compute_features", tagged)
-    source, target = _featured_clouds(source_has, target_has)
-    cfg = PipelineConfig(feature=FeatureConfig("precomputed"), voxel_size=0.001)
-    with pytest.raises(MissingFeatures, match=f"^{raised_by} points$"):
-        register(source, target, cfg)
+    monkeypatch.setattr(_pipeline, "compute_features", recorded)
+    register(source, target, PipelineConfig(voxel_size=0.001))
+    assert described == [threading.current_thread().name] * 2
+    assert [step for step, _ in steps if step != "scan"] == []
+    (source_f, target_f, pairs), = matched
+    for got, cloud in ((source_f, source), (target_f, target)):
+        # voxel order is cell order: match each described row to its point
+        order = np.lexsort(np.floor(cloud.points / 0.001).T[::-1])
+        unit = cloud.features / np.linalg.norm(cloud.features, axis=1, keepdims=True)
+        assert got.tobytes() == unit[order].tobytes()
+    nearest, _ = nearest_bruteforce(target_f, source_f)
+    np.testing.assert_array_equal(pairs[:, 1], nearest)
 
 
 @pytest.mark.parametrize("caller_fails", [False, True])
