@@ -347,7 +347,7 @@ def parse_suite_file(path):
             fields[key] = value
 
         if kind == "synthetic":
-            kwargs = {"seed": len(entries), "max_rotation": math.pi, "max_translation": 1.0}
+            kwargs = {"seed": len(entries)}
             for key, value in fields.items():
                 if key not in _SYNTHETIC_KEYS:
                     raise FileFormatError(f"{where}: unknown key {key!r}")
@@ -358,8 +358,11 @@ def parse_suite_file(path):
                     raise FileFormatError(
                         f"{where}: cannot parse {value!r} for {key!r}"
                     ) from None
-            magnitude = (kwargs.pop("max_rotation"), kwargs.pop("max_translation"))
-            kwargs["transform_magnitude"] = magnitude
+            # a side left out keeps the spec's default
+            rotation, translation = SyntheticPairSpec.transform_magnitude
+            kwargs["transform_magnitude"] = (
+                kwargs.pop("max_rotation", rotation), kwargs.pop("max_translation", translation)
+            )
             try:
                 entries.append(SyntheticPairSpec(**kwargs))
             except ValueError as exc:
@@ -477,20 +480,34 @@ def _materialize(entry):
     raise TypeError(f"unsupported suite entry {type(entry).__name__}")
 
 
+def _failed(pair_id: int, exc: Exception):
+    # numpy raises a private subclass of MemoryError; the row names the builtin
+    name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+    return PairRecord(pair_id, None, None, None, False, name), {}
+
+
 def _run_one(pair_id: int, entry, cfg: PipelineConfig, re_t: float, te_t: float,
              weighter=None):
-    # a pair whose files are missing or malformed is a failed row, not the
-    # end of the suite; programming errors still propagate
+    # a pair whose files are missing or malformed, or a synthetic pair too
+    # large to allocate, is a failed row, not the end of the suite;
+    # programming errors still propagate
     try:
         source, target, truth = _materialize(entry)
+    except (RegistrationError, OSError) as exc:
+        return _failed(pair_id, exc)
+    except (MemoryError, ValueError) as exc:
+        # numpy refusing to allocate: a MemoryError, or the ValueError it
+        # raises for a size past its index range
+        too_large = isinstance(exc, MemoryError) or str(exc).startswith("array is too big")
+        if not (isinstance(entry, SyntheticPairSpec) and too_large):
+            raise
+        return _failed(pair_id, exc)
+    try:
         if weighter is None:
             weighter = resolve_weighter(cfg.weighter, ground_truth=truth)
         result: RegistrationResult = register(source, target, cfg, weighter=weighter)
     except (RegistrationError, OSError) as exc:
-        return (
-            PairRecord(pair_id, None, None, None, False, type(exc).__name__),
-            {},
-        )
+        return _failed(pair_id, exc)
     metrics = pair_metrics(result.transform, truth, re_t, te_t)
     record = PairRecord(
         pair_id, result.branch, metrics.re, metrics.te, metrics.success, None

@@ -57,11 +57,12 @@ class Rot6D:
         a2 = np.asarray(self.a2, dtype=np.float64).reshape(3)
         if not (np.all(np.isfinite(a1)) and np.all(np.isfinite(a2))):
             raise DegenerateRepresentation("rotation parameters must be finite")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            _, _, n1, nu = _gram_schmidt(a1, a2)
+        # the two norms of _gram_schmidt, each checked before it divides
+        n1 = np.linalg.norm(a1)
         if n1 <= 0.0:
             raise DegenerateRepresentation("a1 must be nonzero")
-        if nu <= _PARALLEL_TOL:
+        b1 = a1 / n1
+        if np.linalg.norm(a2 - (b1 @ a2) * b1) <= _PARALLEL_TOL:
             raise DegenerateRepresentation("a2 is (near-)parallel to a1")
         object.__setattr__(self, "a1", _readonly(a1))
         object.__setattr__(self, "a2", _readonly(a2))
@@ -161,6 +162,11 @@ def _huber_energy(
     return float(np.sum(w * (c * (r - 0.5 * c)))), r
 
 
+def _huber_weights(w: np.ndarray, r: np.ndarray, delta: float) -> NDArray[F64]:
+    """w * min(1, delta / r): each IRLS step's weights, and the gradient's per-pair coefficient."""
+    return w * (delta / np.maximum(r, delta))
+
+
 def _active_arrays(matches, source, target, weights):
     w = weights.values
     active = w > 0.0
@@ -185,14 +191,12 @@ def energy(
 ) -> float:
     """Weighted Huber energy of the residuals y_j - (R x_i + t); pairs with
     weight 0 contribute exactly 0."""
-    w = weights.values
-    active = w > 0.0
-    if not active.any():
+    try:
+        Xa, Ya, wa = _active_arrays(matches, source, target, weights)
+    except NoActiveCorrespondences:
         return 0.0
-    pairs = matches.pairs[active]
     return _huber_energy(
-        source.points[pairs[:, 0]], target.points[pairs[:, 1]], w[active],
-        rot6d_to_matrix(a), np.asarray(t, dtype=np.float64), cfg.huber_delta,
+        Xa, Ya, wa, rot6d_to_matrix(a), np.asarray(t, dtype=np.float64), cfg.huber_delta
     )[0]
 
 
@@ -207,8 +211,9 @@ def energy_gradient(
 ) -> tuple[Vec3, Vec3, Vec3]:
     """Analytic gradient of :func:`energy` in (a1, a2, t).
 
-    The per-pair residual gradient is w * min(1, delta/r) * d (the Huber
-    loss is C1, so the quadratic branch's value serves at the kink),
+    The per-pair residual gradient is w * min(1, delta/r) * d, with the
+    weight :func:`refine` solves with (the Huber loss is C1, so the
+    quadratic branch's value serves at the kink),
     accumulated into d/dt and d/dR, then chained through the Gram-Schmidt
     construction back to the parameter vectors. Raises
     NoActiveCorrespondences when no weight is positive.
@@ -221,10 +226,7 @@ def energy_gradient(
 
     d = Xa @ R.T + t - Ya
     r = np.linalg.norm(d, axis=1)
-    delta = cfg.huber_delta
-    with np.errstate(divide="ignore"):
-        coef = wa * np.where(r <= delta, 1.0, delta / np.where(r > 0, r, 1.0))
-    g_d = coef[:, None] * d
+    g_d = _huber_weights(wa, r, cfg.huber_delta)[:, None] * d
 
     g_t = g_d.sum(axis=0)
     G_R = g_d.T @ Xa  # dE/dR, since d = R x + t - y
@@ -290,7 +292,7 @@ def refine(
 
     for _ in range(cfg.max_iters):
         iterations += 1
-        v = wa * (delta / np.maximum(r, delta))
+        v = _huber_weights(wa, r, delta)
         total = float(v.sum())
         step = solve(Xa, Ya, NormalizedWeights(v / total, total))
         # score the rotation as the 6D map rebuilds it, after the step's

@@ -273,6 +273,18 @@ def test_benchmark_names_a_suite_line_with_a_negative_seed(capsys, tmp_path):
     assert not report.exists()
 
 
+def test_benchmark_reports_a_synthetic_pair_too_large_to_generate(capsys, tmp_path):
+    suite = tmp_path / "suite.txt"
+    suite.write_text("synthetic n_points=3000000000000000000\n" + _SUITE_TEXT)
+    report = tmp_path / "report.json"
+    code = main(["benchmark", "--suite", str(suite), "--report", str(report)])
+    capsys.readouterr()
+    assert code == 0
+    rows = json.loads(report.read_text())["pairs"]
+    assert [(row["pair"], row["success"], row["error"]) for row in rows] == [
+        (0, False, "ValueError"), (1, True, None), (2, True, None)]
+
+
 def test_benchmark_outdoor_preset_thresholds(capsys, tmp_path):
     code, report, _ = _run_benchmark_cli(tmp_path, "out", ["--preset", "outdoor"])
     capsys.readouterr()

@@ -17,6 +17,7 @@ from scipy.spatial import cKDTree
 from rigidreg import (
     CorrespondenceSet,
     DimensionMismatch,
+    EmptyCloud,
     FeatureConfig,
     MissingFeatures,
     OracleWeighter,
@@ -50,7 +51,16 @@ def test_correspondence_set_validation():
         CorrespondenceSet(np.array([[0, 2]]), 1, 2)  # target out of range
     with pytest.raises(ValueError):
         CorrespondenceSet(np.array([[-1, 0]]), 1, 1)
+    for sizes in ((-1, 2), (2, -1)):
+        with pytest.raises(ValueError, match="cloud sizes must be non-negative"):
+            CorrespondenceSet(np.zeros((0, 2), dtype=np.int64), *sizes)
     assert len(CorrespondenceSet(np.zeros((0, 2), dtype=np.int64), 5, 5)) == 0
+
+
+@pytest.mark.parametrize("features", [None, np.zeros((0, 4))], ids=["bare", "carrying"])
+def test_compute_features_refuses_an_empty_cloud(features):
+    with pytest.raises(EmptyCloud, match="empty cloud"):
+        compute_features(PointCloud(np.zeros((0, 3)), features), FeatureConfig())
 
 
 def test_correspondence_set_refuses_fractional_indices():

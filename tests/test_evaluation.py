@@ -8,6 +8,7 @@ import os
 import numpy as np
 import pytest
 
+import rigidreg.evaluation
 import rigidreg.io
 from rigidreg import (
     FilePairSpec,
@@ -374,6 +375,16 @@ def test_worker_count_follows_cpu_affinity(monkeypatch):
     assert worker_count() == 3
 
 
+def test_worker_count_falls_back_to_the_cpu_count(monkeypatch):
+    # a platform without CPU affinity
+    monkeypatch.delenv("DGR_THREADS", raising=False)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert worker_count() == 64
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert worker_count() == 1
+
+
 @pytest.mark.parametrize("raw", ["abc", "-2", "1.5"])
 def test_worker_count_error_names_the_variable(monkeypatch, raw):
     monkeypatch.setenv("DGR_THREADS", raw)
@@ -570,6 +581,56 @@ def test_run_benchmark_bad_pair_file_is_a_failed_row(tmp_path, problem, error):
     assert good.success and good.error is None
     assert not bad.success and bad.error == error and bad.branch is None
     assert rep.recall == 0.5
+
+
+_TOO_LARGE = SyntheticPairSpec(n_points=3 * 10**18, seed=0)
+
+
+def _raise(exc):
+    def raising(*args, **kwargs):
+        raise exc
+    return raising
+
+
+class _ArrayMemoryError(MemoryError):
+    """Stands in for numpy's private MemoryError subclass."""
+
+
+@pytest.mark.parametrize("refusal, error", [
+    # numpy's own "array is too big": 3e18 x 3 x 8 bytes pass its index range
+    (None, "ValueError"),
+    # what numpy raises when malloc fails, without asking it for the memory
+    (_ArrayMemoryError("Unable to allocate 67. EiB"), "MemoryError"),
+], ids=["past-index-range", "out-of-memory"])
+def test_run_benchmark_synthetic_pair_too_large_is_a_failed_row(monkeypatch, refusal, error):
+    if refusal is not None:
+        original = rigidreg.evaluation.generate_pair
+        monkeypatch.setattr(rigidreg.evaluation, "generate_pair",
+                            lambda spec: _raise(refusal)() if spec is _TOO_LARGE else original(spec))
+    rep = run_benchmark([_TOO_LARGE, _CLEAN_SUITE[0]], PipelineConfig(),
+                        math.radians(15.0), 0.30)
+    bad, good = rep.records
+    assert not bad.success and bad.error == error and bad.branch is None
+    assert bad.re is None and bad.te is None
+    assert good.success and good.error is None
+    assert rep.recall == 0.5 and dict(rep.branch_counts) == {
+        "failed": 1, "weighted_procrustes_refined": 1}
+
+
+@pytest.mark.parametrize("name, exc", [
+    ("generate_pair", ValueError("not a size")),
+    ("register", MemoryError("out of memory inside register")),
+    ("register", ValueError("array is too big; raised by register")),
+], ids=["other-generation-error", "register-memory", "register-size"])
+def test_run_benchmark_other_errors_still_propagate(monkeypatch, name, exc):
+    monkeypatch.setattr(rigidreg.evaluation, name, _raise(exc))
+    with pytest.raises(type(exc), match=str(exc)):
+        run_benchmark(_CLEAN_SUITE[:1], PipelineConfig(), math.radians(15.0), 0.30)
+
+
+def test_run_benchmark_refuses_an_entry_that_is_no_pair_spec():
+    with pytest.raises(TypeError, match="unsupported suite entry str"):
+        run_benchmark(["pair.ply"], PipelineConfig(), math.radians(15.0), 0.30)
 
 
 _SAFEGUARD_SUITE = [

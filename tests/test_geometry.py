@@ -39,6 +39,11 @@ def test_point_cloud_validation():
         PointCloud(np.array([[0.0, 0.0, np.nan]]))
     with pytest.raises(ValueError):
         PointCloud(np.zeros((3, 3)), features=np.zeros((2, 5)))
+    with pytest.raises(ValueError, match="feature dimension"):
+        PointCloud(np.zeros((3, 3)), features=np.zeros((3, 0)))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="features contain non-finite"):
+            PointCloud(np.zeros((2, 3)), features=np.array([[0.0, 1.0], [bad, 0.0]]))
     cloud = PointCloud(np.zeros((3, 3)), features=np.ones((3, 5)))
     assert len(cloud) == 3 and cloud.features is not None
     assert not cloud.points.flags.writeable
@@ -89,6 +94,11 @@ def test_rigid_transform_rejects_non_rotations():
         RigidTransform(mirror, np.zeros(3))
     with pytest.raises(NotARotation):
         RigidTransform(np.full((3, 3), np.nan), np.zeros(3))
+    with pytest.raises(ValueError, match="rotation must be 3x3"):
+        RigidTransform(np.eye(4), np.zeros(3))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NotARotation, match="translation contains non-finite"):
+            RigidTransform(np.eye(3), np.array([0.0, bad, 0.0]))
 
 
 def test_is_rotation_tests_a_stack_without_warnings(rng):

@@ -486,6 +486,7 @@ def test_suite_synthetic_entries_and_seed_default(tmp_path):
         "max_rotation=0.5 max_translation=0.3\n"
         "synthetic n_points=50\n"
         "synthetic n_points=60 seed=41\n"
+        "synthetic n_points=70 max_rotation=0.5\n"
     )
     entries = parse_suite_file(path)
     assert entries[0] == SyntheticPairSpec(
@@ -495,6 +496,7 @@ def test_suite_synthetic_entries_and_seed_default(tmp_path):
     assert entries[1].seed == 1  # defaults to the entry index
     assert entries[1].transform_magnitude == (math.pi, 1.0)
     assert entries[2].seed == 41
+    assert entries[3].transform_magnitude == (0.5, 1.0)  # the spec's default translation
 
 
 def test_suite_file_entries_resolve_relative_paths(tmp_path):

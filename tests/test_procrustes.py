@@ -79,6 +79,8 @@ def test_normalized_weights_container_validation():
         NormalizedWeights(np.array([1.0]), 0.0)  # scale must be positive
     with pytest.raises(ValueError):
         NormalizedWeights(np.zeros(0), 1.0)
+    with pytest.raises(ValueError, match="non-negative"):
+        NormalizedWeights(np.array([1.5, -0.5]), 1.0)  # sums to 1
 
 
 @pytest.mark.parametrize("w_tilde, scale", [

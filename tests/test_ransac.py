@@ -196,6 +196,33 @@ def test_collinear_sources_cannot_form_hypotheses():
         ransac_register(_identity_matches(20), src, tgt, RansacConfig(max_iterations=20))
 
 
+def test_collinear_consensus_keeps_the_minimal_fit(monkeypatch):
+    # 30 pairs on a line and one off it whose target is pushed 9 cm off its
+    # true place: a fit through it and two line points keeps the whole line
+    # within 5.5 cm but not the pushed pair, so the consensus is the line,
+    # whose refit is degenerate
+    line = np.column_stack([np.linspace(0.0, 3.0, 30), np.zeros(30), np.zeros(30)])
+    src = np.vstack([line, [1.5, 1.0, 0.0]])
+    tgt = src.copy()
+    tgt[-1, 1] += 0.09
+    degenerate_refits = []
+
+    def refit(X, Y, weights):
+        try:
+            return solve(X, Y, weights)
+        except DegenerateConfiguration:
+            degenerate_refits.append(len(X))
+            raise
+
+    monkeypatch.setattr(ransac, "solve", refit)
+    res = ransac_register(_identity_matches(31), PointCloud(src), PointCloud(tgt),
+                          RansacConfig(inlier_threshold=0.055))
+    assert degenerate_refits == [30]
+    assert res.branch == SAFEGUARD_BRANCH and res.inlier_fraction == 30 / 31
+    residual = np.linalg.norm(res.transform.apply(src) - tgt, axis=1)
+    assert residual[:30].max() < 0.055 <= residual[30]
+
+
 def test_too_few_pairs():
     pts = PointCloud(np.eye(3)[:2])
     with pytest.raises(TooFewCorrespondences):
