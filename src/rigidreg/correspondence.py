@@ -14,8 +14,6 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.sparse import coo_array
-from scipy.spatial import cKDTree
 
 from .errors import (
     DimensionMismatch,
@@ -25,7 +23,11 @@ from .errors import (
     _check_count,
     _check_length,
 )
-from .geometry import F64, PointCloud, RigidTransform, SpatialIndex, _readonly
+from .geometry import F64, PointCloud, RigidTransform, SpatialIndex, _Deferred, _readonly
+
+# only description needs scipy
+cKDTree = _Deferred("scipy.spatial", "cKDTree")
+coo_array = _Deferred("scipy.sparse", "coo_array")
 
 # neighbor pairs per chunk of the distance histogram: its temporaries then
 # take about 1 MB; 2**13 to 2**16 ran within 20 % of each other, and this

@@ -84,6 +84,11 @@ class RegistrationFailed(RegistrationError):
     """Both the solver branch and the safeguard branch failed."""
 
 
+class CoordinateOverflow(RegistrationError, ValueError):
+    """Coordinates too large for a stage's arithmetic: a voxel cell index
+    outside the int64 range, or squared distances near float64's overflow."""
+
+
 class FileFormatError(RegistrationError):
     """A file is malformed; the message locates the offending line or offset."""
 

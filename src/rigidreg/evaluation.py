@@ -402,10 +402,13 @@ def parse_suite_file(path):
 @dataclass(frozen=True)
 class PairRecord:
     """One benchmark row; ``re``/``te`` are None when registration raised
-    instead of returning a pose."""
+    instead of returning a pose. ``fallback_reason`` says why the pair took
+    the safeguard; it is None on the main branch and when registration
+    raised."""
 
     pair_id: int
     branch: str | None
+    fallback_reason: str | None
     re: float | None
     te: float | None
     success: bool
@@ -483,7 +486,7 @@ def _materialize(entry):
 def _failed(pair_id: int, exc: Exception):
     # numpy raises a private subclass of MemoryError; the row names the builtin
     name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
-    return PairRecord(pair_id, None, None, None, False, name), {}
+    return PairRecord(pair_id, None, None, None, None, False, name), {}
 
 
 def _run_one(pair_id: int, entry, cfg: PipelineConfig, re_t: float, te_t: float,
@@ -509,9 +512,8 @@ def _run_one(pair_id: int, entry, cfg: PipelineConfig, re_t: float, te_t: float,
     except (RegistrationError, OSError) as exc:
         return _failed(pair_id, exc)
     metrics = pair_metrics(result.transform, truth, re_t, te_t)
-    record = PairRecord(
-        pair_id, result.branch, metrics.re, metrics.te, metrics.success, None
-    )
+    record = PairRecord(pair_id, result.branch, result.fallback_reason, metrics.re,
+                        metrics.te, metrics.success, None)
     return record, dict(result.stage_seconds or {})
 
 

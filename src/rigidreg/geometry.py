@@ -1,5 +1,5 @@
-"""Point-cloud containers, rigid-transform algebra, voxel downsampling, and
-an exact nearest-neighbor index.
+"""Point-cloud containers, rigid-transform algebra, voxel downsampling, an
+exact nearest-neighbor index, and the deferred import of scipy's names.
 
 Conventions used throughout the package:
 
@@ -15,13 +15,15 @@ a validated container and instances can be shared freely across threads.
 
 from __future__ import annotations
 
+import importlib
+import threading
 from dataclasses import dataclass, field
 from typing import TypeAlias
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import EmptyCloud, NotARotation, _check_length
+from .errors import CoordinateOverflow, EmptyCloud, NotARotation, _check_length
 
 F64: TypeAlias = np.float64
 Points: TypeAlias = NDArray[F64]  # (N, 3)
@@ -35,6 +37,36 @@ _BLOCK_ELEMENTS = 2**16
 # SpatialIndex refuses vectors whose squared norm reaches this: below it,
 # every score and distance of its scan is under 2**1023, so none overflows
 _SQUARED_NORM_LIMIT = 2.0**1020
+
+
+# one lock for every deferred name: two threads importing parts of scipy at
+# once could each wait on a module that the other is importing
+_IMPORT_LOCK = threading.Lock()
+
+
+class _Deferred:
+    """A callable of scipy's, imported at its first call, not with the
+    package: ``import rigidreg`` and every path that never calls one
+    (external correspondences on the main branch, the gradient API, io)
+    run on numpy alone.
+
+    The first calls may come on several threads at once: the first takes
+    the lock and imports, the others wait for it, so none sees a module
+    half imported. A child forked before the first call imports at its own
+    first call; one forked after it keeps the name its parent loaded.
+    """
+
+    def __init__(self, module: str, name: str):
+        self._module = module
+        self._name = name
+        self._target = None
+
+    def __call__(self, *args, **kwargs):
+        if self._target is None:
+            with _IMPORT_LOCK:
+                if self._target is None:
+                    self._target = getattr(importlib.import_module(self._module), self._name)
+        return self._target(*args, **kwargs)
 
 
 def _readonly(a: np.ndarray, dtype=np.float64) -> np.ndarray:
@@ -134,7 +166,7 @@ def voxel_downsample(cloud: PointCloud, voxel_size: float, seed: int) -> PointCl
     Cells are ``floor(coordinate / voxel_size)`` per axis with the grid
     origin at (0, 0, 0). Output points are ordered by cell key, so the
     result is deterministic given the seed and idempotent at fixed grid.
-    A cell index outside the int64 range raises ValueError.
+    A cell index outside the int64 range raises CoordinateOverflow.
     """
     _check_length("voxel_size", voxel_size)
     if len(cloud) == 0:
@@ -143,7 +175,8 @@ def voxel_downsample(cloud: PointCloud, voxel_size: float, seed: int) -> PointCl
     with np.errstate(over="ignore"):  # an overflowing quotient is inf, refused below
         cells = np.floor(cloud.points / voxel_size)
     if not np.all(np.abs(cells) < 2.0**63):
-        raise ValueError(f"voxel_size {voxel_size!r} puts cell indices outside the int64 range")
+        raise CoordinateOverflow(
+            f"voxel_size {voxel_size!r} puts cell indices outside the int64 range")
     keys = cells.astype(np.int64)
     # lexicographic order over (kx, ky, kz); stable sort keeps original
     # order within a cell so the uniform draw below is well defined

@@ -490,6 +490,7 @@ def report_to_dict(report: BenchmarkReport) -> dict:
             {
                 "pair": rec.pair_id,
                 "branch": rec.branch,
+                "fallback_reason": rec.fallback_reason,
                 "re_deg": None if rec.re is None else math.degrees(rec.re),
                 "te_m": rec.te,
                 "success": rec.success,

@@ -37,6 +37,7 @@ from .correspondence import (
     weigh,
 )
 from .errors import (
+    CoordinateOverflow,
     DegenerateConfiguration,
     EmptyCloud,
     LengthMismatch,
@@ -182,6 +183,25 @@ if hasattr(os, "register_at_fork"):
 _CONCURRENT_POINTS = 2000
 
 
+# coordinates must lie below this in magnitude. The highest power of them
+# any stage forms is the safeguard's collinearity test, the squared norm of
+# a cross product of two sample edges, below 144 * 2**960 here; so it, and
+# every sum of squared distances over a cloud, stays far from overflow
+_COORDINATE_LIMIT = 2.0**240
+
+
+def _check_coordinates(*clouds: PointCloud) -> None:
+    """Raise CoordinateOverflow when a coordinate reaches ``_COORDINATE_LIMIT``."""
+    for cloud in clouds:
+        points = cloud.points
+        largest = max(points.max(initial=0.0), -points.min(initial=0.0))
+        if largest >= _COORDINATE_LIMIT:
+            raise CoordinateOverflow(
+                f"a coordinate of magnitude {largest:.3g} reaches 2**240 (about "
+                f"{_COORDINATE_LIMIT:.2g}), past which the pipeline's products of "
+                "coordinates can overflow float64")
+
+
 @contextmanager
 def _in_flight():
     """Count the calling registration as running until the block ends."""
@@ -302,8 +322,11 @@ def register(
     such as learned descriptors, or else on ``local_histogram``.
 
     ``weighter`` overrides the provider named in the config; callers that
-    know a ground truth use it to pass an oracle.
+    know a ground truth use it to pass an oracle. A coordinate of magnitude
+    2**240 or more, or a voxel cell index outside the int64 range, raises
+    CoordinateOverflow.
     """
+    _check_coordinates(source, target)
     with _in_flight():
         stage_seconds: dict = {}
 
@@ -345,7 +368,8 @@ def register_with_correspondences(
 ) -> RegistrationResult:
     """Pipeline entry for externally computed matches and weights: skips
     downsampling, description, and matching, then behaves exactly like
-    :func:`register` from the safeguard test onward."""
+    :func:`register` from the safeguard test onward. A coordinate of
+    magnitude 2**240 or more raises CoordinateOverflow."""
     if matches.source_size != len(source) or matches.target_size != len(target):
         raise LengthMismatch(
             f"correspondences sized {matches.source_size}x{matches.target_size} "
@@ -355,4 +379,5 @@ def register_with_correspondences(
         raise LengthMismatch(
             f"{len(weights)} weights for {len(matches)} correspondences"
         )
+    _check_coordinates(source, target)
     return _core(matches, weights, source, target, cfg, {})

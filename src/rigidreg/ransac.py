@@ -45,8 +45,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_array
-from scipy.spatial.distance import cdist
 
 from .correspondence import CorrespondenceSet, WeightVector
 from .errors import (
@@ -57,9 +55,13 @@ from .errors import (
     _check_count,
     _check_length,
 )
-from .geometry import _BLOCK_ELEMENTS, PointCloud, RigidTransform, is_rotation
+from .geometry import _BLOCK_ELEMENTS, PointCloud, RigidTransform, _Deferred, is_rotation
 from .procrustes import NormalizedWeights, prefilter, solve, solve_stacked
 from .results import SAFEGUARD_BRANCH, RegistrationResult
+
+# only the spectral rank needs scipy
+cdist = _Deferred("scipy.spatial.distance", "cdist")
+coo_array = _Deferred("scipy.sparse", "coo_array")
 
 _COLLINEAR_TOL = 1e-9
 _DRAW_CAP_FACTOR = 10

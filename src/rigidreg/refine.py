@@ -42,12 +42,30 @@ from .geometry import F64, Mat3, PointCloud, RigidTransform, Vec3, _readonly, is
 from .procrustes import NormalizedWeights, solve
 
 _PARALLEL_TOL = 1e-12
+# the least squared norm whose square root keeps float64's full precision
+_TINY = np.finfo(np.float64).tiny
+
+
+def _checked_norm(name: str, v: np.ndarray) -> float:
+    """``np.linalg.norm(v)`` of a nonzero vector, refused with
+    DegenerateRepresentation when the squared norm it takes the root of
+    overflows or falls below the normal float64 range: the norm would be
+    inf or inexact, and dividing by it would not make a unit vector."""
+    with np.errstate(over="ignore", under="ignore"):
+        square = v @ v
+    if square == np.inf:
+        raise DegenerateRepresentation(f"the squared norm of {name} overflows float64")
+    if square < _TINY:
+        raise DegenerateRepresentation(f"the squared norm of {name} underflows float64")
+    return np.sqrt(square)
 
 
 @dataclass(frozen=True)
 class Rot6D:
     """The (a1, a2) rotation parameterization; a1 must be nonzero and a2
-    must keep a component orthogonal to a1. Both are kept as read-only copies."""
+    must keep a component orthogonal to a1, and neither may have a squared
+    norm that overflows or underflows float64. Both are kept as read-only
+    copies."""
 
     a1: Vec3
     a2: Vec3
@@ -58,11 +76,14 @@ class Rot6D:
         if not (np.all(np.isfinite(a1)) and np.all(np.isfinite(a2))):
             raise DegenerateRepresentation("rotation parameters must be finite")
         # the two norms of _gram_schmidt, each checked before it divides
-        n1 = np.linalg.norm(a1)
-        if n1 <= 0.0:
+        if not a1.any():
             raise DegenerateRepresentation("a1 must be nonzero")
-        b1 = a1 / n1
-        if np.linalg.norm(a2 - (b1 @ a2) * b1) <= _PARALLEL_TOL:
+        b1 = a1 / _checked_norm("a1", a1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = a2 - (b1 @ a2) * b1
+        if not np.all(np.isfinite(u)):
+            raise DegenerateRepresentation("the projection of a2 onto a1 overflows float64")
+        if not u.any() or _checked_norm("a2's component orthogonal to a1", u) <= _PARALLEL_TOL:
             raise DegenerateRepresentation("a2 is (near-)parallel to a1")
         object.__setattr__(self, "a1", _readonly(a1))
         object.__setattr__(self, "a2", _readonly(a2))

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -166,6 +167,24 @@ def test_register_failure_exits_two(capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "registration failed" in captured.err
+
+
+def test_register_huge_coordinates_exit_one(capsys, tmp_path, patch_cloud):
+    # products of the coordinates would overflow float64; the message
+    # says so, and no numpy warning comes first
+    src = tmp_path / "huge.ply"
+    write_ply(PointCloud(patch_cloud.points * 1e160), src)
+    n = len(patch_cloud)
+    weights = tmp_path / "pairs.dgrw"
+    write_weight_file(weights, n, n, np.column_stack([np.arange(n), np.arange(n)]), np.ones(n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["register", "--source", str(src), "--target", str(src),
+                     "--weights", str(weights)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "coordinate" in captured.err and "overflow float64" in captured.err
 
 
 @pytest.mark.parametrize(

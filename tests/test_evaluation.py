@@ -583,6 +583,35 @@ def test_run_benchmark_bad_pair_file_is_a_failed_row(tmp_path, problem, error):
     assert rep.recall == 0.5
 
 
+def test_run_benchmark_pair_with_huge_coordinates_is_a_failed_row(tmp_path):
+    # its voxel cells leave the int64 range: the row fails, the suite runs on
+    pair = generate_pair(_CLEAN_SUITE[0])
+    source, target, pose = tmp_path / "s.ply", tmp_path / "t.ply", tmp_path / "pose.json"
+    write_ply(PointCloud(pair.source.points * 1e30), source)
+    write_ply(PointCloud(pair.target.points * 1e30), target)
+    pose.write_text(json.dumps({"rotation": [1, 0, 0, 0, 1, 0, 0, 0, 1],
+                                "translation": [0, 0, 0]}))
+    suite = [_CLEAN_SUITE[0], FilePairSpec(str(source), str(target), str(pose))]
+    rep = run_benchmark(suite, PipelineConfig(), math.radians(15.0), 0.30)
+    good, bad = rep.records
+    assert good.success and good.error is None
+    assert bad.error == "CoordinateOverflow" and bad.branch is None
+    assert bad.fallback_reason is None and not bad.success
+
+
+def test_run_benchmark_rows_say_why_a_pair_left_the_main_branch():
+    zeros = run_benchmark(_CLEAN_SUITE, PipelineConfig(), math.radians(15.0), 0.30,
+                          weighter=lambda m, s, t: np.zeros(len(m)))
+    assert {(r.branch, r.fallback_reason) for r in zeros.records} == {
+        ("safeguard", "low_inlier_fraction")}
+    default = run_benchmark(_CLEAN_SUITE, PipelineConfig(), math.radians(15.0), 0.30)
+    assert {(r.branch, r.fallback_reason) for r in default.records} == {
+        ("weighted_procrustes_refined", None)}
+    for report, reason in ((zeros, "low_inlier_fraction"), (default, None)):
+        rows = rigidreg.io.report_to_dict(report)["pairs"]
+        assert [row["fallback_reason"] for row in rows] == [reason] * len(_CLEAN_SUITE)
+
+
 _TOO_LARGE = SyntheticPairSpec(n_points=3 * 10**18, seed=0)
 
 

@@ -660,7 +660,8 @@ def test_report_dict_layout(small_report):
     assert abs(doc["mean_re_deg"] - math.degrees(small_report.mean_re)) < 1e-15
     assert list(doc["branch_counts"]) == sorted(doc["branch_counts"])
     assert [row["pair"] for row in doc["pairs"]] == [0, 1]
-    assert set(doc["pairs"][0]) == {"pair", "branch", "re_deg", "te_m", "success", "error"}
+    assert set(doc["pairs"][0]) == {"pair", "branch", "fallback_reason", "re_deg", "te_m",
+                                    "success", "error"}
     # wall-clock lives only under "timing" so byte comparisons can drop it
     assert set(doc["timing"]) == {"stage_seconds", "total_seconds"}
     assert not any("seconds" in key for key in doc if key != "timing")

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import fields, replace
@@ -21,6 +22,7 @@ import pytest
 
 import rigidreg
 from rigidreg import (
+    CoordinateOverflow,
     CorrespondenceSet,
     EmptyCloud,
     FeatureConfig,
@@ -435,6 +437,39 @@ def test_register_with_correspondences_validates_sizes(patch_cloud):
         register_with_correspondences(
             matches, WeightVector(np.ones(n - 1)), patch_cloud, patch_cloud, PipelineConfig()
         )
+
+
+@pytest.mark.parametrize("weight", [1.0, 0.0], ids=["main", "safeguard"])
+def test_huge_coordinates_raise_coordinate_overflow(patch_cloud, weight):
+    # products of such coordinates overflow float64: a package error, not
+    # a numpy warning and then LinAlgError out of the SVD
+    n = len(patch_cloud)
+    for scale in (1e160, 2.0**240):
+        huge = PointCloud(patch_cloud.points / np.abs(patch_cloud.points).max() * scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CoordinateOverflow, match="2\\*\\*240"):
+                register_with_correspondences(
+                    _identity_matches(n), WeightVector(np.full(n, weight)), huge, huge,
+                    PipelineConfig())
+            # a voxel large enough for the cells, so description would see them
+            with pytest.raises(CoordinateOverflow, match="2\\*\\*240"):
+                register(huge, huge, PipelineConfig(voxel_size=scale / 10),
+                         weighter=lambda m, s, t: np.full(len(m), weight))
+    assert issubclass(CoordinateOverflow, ValueError)
+    # just below the limit every stage still runs, and warns of nothing
+    scale = 2.0**239
+    large = PointCloud(patch_cloud.points * scale)
+    cfg = PipelineConfig(voxel_size=scale / 20, feature=FeatureConfig(radius=scale / 4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        results = [
+            register_with_correspondences(
+                _identity_matches(n), WeightVector(np.full(n, weight)), large, large, cfg),
+            register(large, large, cfg, weighter=lambda m, s, t: np.full(len(m), weight)),
+        ]
+    for result in results:
+        assert result.branch == (MAIN_BRANCH if weight else SAFEGUARD_BRANCH)
 
 
 # ---------------------------------------------------------------------------

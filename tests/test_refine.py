@@ -1,6 +1,7 @@
 """6D rotation parameterization and robust pose refinement."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -51,6 +52,23 @@ def test_rot6d_validation():
         Rot6D(np.array([1.0, 0.0, 0.0]), np.array([2.0, 0.0, 0.0]))
     with pytest.raises(DegenerateRepresentation):
         Rot6D(np.array([np.nan, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]))
+    # Gram-Schmidt norms that overflow or underflow float64 are refused,
+    # with no numpy warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a1, a2, why in [
+            ([1e200, 0.0, 0.0], [0.0, 1.0, 0.0], "norm of a1 overflows"),
+            ([1.0, 0.0, 0.0], [1e200, 1e200, 0.0], "orthogonal to a1 overflows"),
+            ([1.0, 1.0, 0.0], [1.7e308, 1.7e308, 0.0], "projection of a2 onto a1 overflows"),
+            ([1e-200, 0.0, 0.0], [0.0, 1.0, 0.0], "norm of a1 underflows"),
+            ([1.0, 0.0, 0.0], [0.0, 1e-200, 0.0], "orthogonal to a1 underflows"),
+        ]:
+            with pytest.raises(DegenerateRepresentation, match=why):
+                Rot6D(np.array(a1), np.array(a2))
+        # the extremes that stay in range still map to a rotation
+        for a1 in ([1e150, 0.0, 0.0], [1e-150, 0.0, 0.0]):
+            R = rot6d_to_matrix(Rot6D(np.array(a1), np.array([0.0, 1.0, 0.0])))
+            np.testing.assert_array_equal(R, np.eye(3))
 
 
 def test_rot6d_canonical_basis_gives_identity():
