@@ -16,6 +16,7 @@ a validated container and instances can be shared freely across threads.
 from __future__ import annotations
 
 import importlib
+import os
 import threading
 from dataclasses import dataclass, field
 from typing import TypeAlias
@@ -42,6 +43,12 @@ _SQUARED_NORM_LIMIT = 2.0**1020
 # one lock for every deferred name: two threads importing parts of scipy at
 # once could each wait on a module that the other is importing
 _IMPORT_LOCK = threading.Lock()
+if hasattr(os, "register_at_fork"):
+    # a fork waits for an import in progress, so no child inherits the lock
+    # held by a thread it does not have, or a module half imported
+    os.register_at_fork(before=_IMPORT_LOCK.acquire,
+                        after_in_parent=_IMPORT_LOCK.release,
+                        after_in_child=_IMPORT_LOCK.release)
 
 
 class _Deferred:
@@ -52,8 +59,9 @@ class _Deferred:
 
     The first calls may come on several threads at once: the first takes
     the lock and imports, the others wait for it, so none sees a module
-    half imported. A child forked before the first call imports at its own
-    first call; one forked after it keeps the name its parent loaded.
+    half imported. A fork waits for a first import in progress to end. A
+    child forked before the first call imports at its own first call; one
+    forked after it keeps the name its parent loaded.
     """
 
     def __init__(self, module: str, name: str):

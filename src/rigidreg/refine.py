@@ -46,25 +46,22 @@ _PARALLEL_TOL = 1e-12
 _TINY = np.finfo(np.float64).tiny
 
 
-def _checked_norm(name: str, v: np.ndarray) -> float:
-    """``np.linalg.norm(v)`` of a nonzero vector, refused with
-    DegenerateRepresentation when the squared norm it takes the root of
-    overflows or falls below the normal float64 range: the norm would be
-    inf or inexact, and dividing by it would not make a unit vector."""
+def _squared_norm(name: str, v: np.ndarray) -> float:
+    """``v @ v``, refused with DegenerateRepresentation when it overflows
+    float64: the norm would be inf, and dividing by it would not make a
+    unit vector."""
     with np.errstate(over="ignore", under="ignore"):
         square = v @ v
     if square == np.inf:
         raise DegenerateRepresentation(f"the squared norm of {name} overflows float64")
-    if square < _TINY:
-        raise DegenerateRepresentation(f"the squared norm of {name} underflows float64")
-    return np.sqrt(square)
+    return square
 
 
 @dataclass(frozen=True)
 class Rot6D:
     """The (a1, a2) rotation parameterization; a1 must be nonzero and a2
-    must keep a component orthogonal to a1, and neither may have a squared
-    norm that overflows or underflows float64. Both are kept as read-only
+    must keep a component orthogonal to a1; neither squared norm may
+    overflow float64, nor may a1's underflow it. Both are kept as read-only
     copies."""
 
     a1: Vec3
@@ -78,12 +75,15 @@ class Rot6D:
         # the two norms of _gram_schmidt, each checked before it divides
         if not a1.any():
             raise DegenerateRepresentation("a1 must be nonzero")
-        b1 = a1 / _checked_norm("a1", a1)
+        square = _squared_norm("a1", a1)
+        if square < _TINY:
+            raise DegenerateRepresentation("the squared norm of a1 underflows float64")
+        b1 = a1 / np.sqrt(square)
         with np.errstate(over="ignore", invalid="ignore"):
             u = a2 - (b1 @ a2) * b1
         if not np.all(np.isfinite(u)):
             raise DegenerateRepresentation("the projection of a2 onto a1 overflows float64")
-        if not u.any() or _checked_norm("a2's component orthogonal to a1", u) <= _PARALLEL_TOL:
+        if np.sqrt(_squared_norm("a2's component orthogonal to a1", u)) <= _PARALLEL_TOL:
             raise DegenerateRepresentation("a2 is (near-)parallel to a1")
         object.__setattr__(self, "a1", _readonly(a1))
         object.__setattr__(self, "a2", _readonly(a2))

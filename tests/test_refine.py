@@ -52,8 +52,9 @@ def test_rot6d_validation():
         Rot6D(np.array([1.0, 0.0, 0.0]), np.array([2.0, 0.0, 0.0]))
     with pytest.raises(DegenerateRepresentation):
         Rot6D(np.array([np.nan, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]))
-    # Gram-Schmidt norms that overflow or underflow float64 are refused,
-    # with no numpy warning on the way
+    # Gram-Schmidt norms that overflow float64, or a1's underflowing it, are
+    # refused with no numpy warning on the way; a tiny orthogonal component
+    # is refused as (near-)parallel
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for a1, a2, why in [
@@ -61,7 +62,7 @@ def test_rot6d_validation():
             ([1.0, 0.0, 0.0], [1e200, 1e200, 0.0], "orthogonal to a1 overflows"),
             ([1.0, 1.0, 0.0], [1.7e308, 1.7e308, 0.0], "projection of a2 onto a1 overflows"),
             ([1e-200, 0.0, 0.0], [0.0, 1.0, 0.0], "norm of a1 underflows"),
-            ([1.0, 0.0, 0.0], [0.0, 1e-200, 0.0], "orthogonal to a1 underflows"),
+            ([1.0, 0.0, 0.0], [0.0, 1e-200, 0.0], "parallel"),
         ]:
             with pytest.raises(DegenerateRepresentation, match=why):
                 Rot6D(np.array(a1), np.array(a2))

@@ -148,3 +148,51 @@ def test_pose_bytes_do_not_depend_on_when_scipy_loads():
     assert late == early
     assert late[0].startswith("weighted_procrustes_refined:")
     assert late[1].startswith("safeguard:")
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_fork_during_the_first_import_waits_for_it():
+    # a thread is held inside the first import of scipy.spatial when the
+    # main thread forks; the child must not inherit that import half done
+    lines = _fresh("""
+        import os, sys, threading, time
+        import numpy as np
+        from rigidreg import correspondence
+
+        entered = threading.Event()
+
+        class Stall:
+            def find_spec(self, name, path=None, target=None):
+                if name == "scipy.spatial":
+                    entered.set()
+                    time.sleep(1.0)
+                return None
+
+        sys.meta_path.insert(0, Stall())
+        points = np.random.default_rng(0).normal(size=(50, 3))
+        first = threading.Thread(target=correspondence.cKDTree, args=(points,))
+        first.start()
+        assert entered.wait(60)
+        pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                correspondence.cKDTree(points).query(points[:1])
+                status = 0
+            finally:
+                os._exit(status)
+        first.join()
+        deadline = time.monotonic() + 60.0
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                print(os.waitstatus_to_exitcode(status))
+                break
+            if time.monotonic() > deadline:
+                os.kill(pid, 9)
+                os.waitpid(pid, 0)
+                print("the child hung")
+                break
+            time.sleep(0.05)
+    """)
+    assert lines == ["0"]
