@@ -18,12 +18,13 @@ from numpy.typing import NDArray
 from .errors import (
     DimensionMismatch,
     EmptyCloud,
+    LengthMismatch,
     MissingFeatures,
     WeightLengthMismatch,
     _check_count,
     _check_length,
 )
-from .geometry import F64, PointCloud, RigidTransform, SpatialIndex, _Deferred, _readonly
+from .geometry import F64, PointCloud, Points, RigidTransform, SpatialIndex, _Deferred, _readonly
 
 # only description needs scipy
 cKDTree = _Deferred("scipy.spatial", "cKDTree")
@@ -73,6 +74,15 @@ class CorrespondenceSet:
 
     def __len__(self) -> int:
         return self.pairs.shape[0]
+
+    def matched(self, source: PointCloud, target: PointCloud) -> tuple[Points, Points]:
+        """The matched points ``(source.points[i], target.points[j])`` of
+        every pair (i, j), in pair order. Clouds of other sizes than the set
+        was built for raise LengthMismatch."""
+        if len(source) != self.source_size or len(target) != self.target_size:
+            raise LengthMismatch(f"correspondences sized {self.source_size}x{self.target_size} "
+                                 f"against clouds {len(source)}x{len(target)}")
+        return source.points[self.pairs[:, 0]], target.points[self.pairs[:, 1]]
 
 
 @dataclass(frozen=True)
@@ -348,8 +358,8 @@ def label_inliers(
     """Flag each pair whose residual under the true transform is < tau, as
     a read-only boolean mask."""
     _check_length("tau", tau)
-    mapped = true_transform.apply(source.points[matches.pairs[:, 0]])
-    residual = np.linalg.norm(mapped - target.points[matches.pairs[:, 1]], axis=1)
+    matched_x, matched_y = matches.matched(source, target)
+    residual = np.linalg.norm(true_transform.apply(matched_x) - matched_y, axis=1)
     labels = residual < tau
     labels.flags.writeable = False
     return labels

@@ -85,8 +85,9 @@ class RegistrationFailed(RegistrationError):
 
 
 class CoordinateOverflow(RegistrationError, ValueError):
-    """Coordinates too large for a stage's arithmetic: a voxel cell index
-    outside the int64 range, or squared distances near float64's overflow."""
+    """Coordinates too large for a stage's arithmetic: a point coordinate of
+    magnitude 2**240 or more, refused when a PointCloud is built, or a voxel
+    cell index outside the int64 range."""
 
 
 class FileFormatError(RegistrationError):

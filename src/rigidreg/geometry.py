@@ -38,6 +38,11 @@ _BLOCK_ELEMENTS = 2**16
 # SpatialIndex refuses vectors whose squared norm reaches this: below it,
 # every score and distance of its scan is under 2**1023, so none overflows
 _SQUARED_NORM_LIMIT = 2.0**1020
+# coordinates must lie below this in magnitude. The highest power of them
+# any stage forms is the safeguard's collinearity test, the squared norm of
+# a cross product of two sample edges, below 144 * 2**960 here; so it, and
+# every sum of squared distances over a cloud, stays far from overflow
+_COORDINATE_LIMIT = 2.0**240
 
 
 # one lock for every deferred name: two threads importing parts of scipy at
@@ -85,7 +90,9 @@ def _readonly(a: np.ndarray, dtype=np.float64) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PointCloud:
-    """Ordered 3D points and optional per-point features, both kept as read-only copies."""
+    """Ordered 3D points and optional per-point features, both kept as read-only copies.
+    A coordinate of magnitude 2**240 (about 1.8e72) or more raises CoordinateOverflow,
+    so no stage that takes clouds can overflow float64 in its products of coordinates."""
 
     points: Points
     features: NDArray[F64] | None = None
@@ -94,8 +101,15 @@ class PointCloud:
         pts = np.asarray(self.points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise ValueError(f"points must have shape (N, 3), got {pts.shape}")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("points contain non-finite coordinates")
+        # nan carries through max and min, so one test refuses it and inf too
+        largest = max(pts.max(initial=0.0), -pts.min(initial=0.0))
+        if not largest < _COORDINATE_LIMIT:
+            if not np.isfinite(largest):
+                raise ValueError("points contain non-finite coordinates")
+            raise CoordinateOverflow(
+                f"a coordinate of magnitude {largest:.3g} reaches 2**240 (about "
+                f"{_COORDINATE_LIMIT:.2g}), past which the pipeline's products of "
+                "coordinates can overflow float64")
         object.__setattr__(self, "points", _readonly(pts))
         if self.features is not None:
             feats = np.asarray(self.features, dtype=np.float64)

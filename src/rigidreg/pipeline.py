@@ -37,7 +37,6 @@ from .correspondence import (
     weigh,
 )
 from .errors import (
-    CoordinateOverflow,
     DegenerateConfiguration,
     EmptyCloud,
     LengthMismatch,
@@ -183,25 +182,6 @@ if hasattr(os, "register_at_fork"):
 _CONCURRENT_POINTS = 2000
 
 
-# coordinates must lie below this in magnitude. The highest power of them
-# any stage forms is the safeguard's collinearity test, the squared norm of
-# a cross product of two sample edges, below 144 * 2**960 here; so it, and
-# every sum of squared distances over a cloud, stays far from overflow
-_COORDINATE_LIMIT = 2.0**240
-
-
-def _check_coordinates(*clouds: PointCloud) -> None:
-    """Raise CoordinateOverflow when a coordinate reaches ``_COORDINATE_LIMIT``."""
-    for cloud in clouds:
-        points = cloud.points
-        largest = max(points.max(initial=0.0), -points.min(initial=0.0))
-        if largest >= _COORDINATE_LIMIT:
-            raise CoordinateOverflow(
-                f"a coordinate of magnitude {largest:.3g} reaches 2**240 (about "
-                f"{_COORDINATE_LIMIT:.2g}), past which the pipeline's products of "
-                "coordinates can overflow float64")
-
-
 @contextmanager
 def _in_flight():
     """Count the calling registration as running until the block ends."""
@@ -271,9 +251,7 @@ def _core(
         try:
             begin = time.perf_counter()
             normalized = normalize_weights(weights, cfg.prefilter_tau)
-            matched_x = source.points[matches.pairs[:, 0]]
-            matched_y = target.points[matches.pairs[:, 1]]
-            solution = solve(matched_x, matched_y, normalized)
+            solution = solve(*matches.matched(source, target), normalized)
             stage_seconds["solve"] = time.perf_counter() - begin
 
             begin = time.perf_counter()
@@ -322,11 +300,10 @@ def register(
     such as learned descriptors, or else on ``local_histogram``.
 
     ``weighter`` overrides the provider named in the config; callers that
-    know a ground truth use it to pass an oracle. A coordinate of magnitude
-    2**240 or more, or a voxel cell index outside the int64 range, raises
-    CoordinateOverflow.
+    know a ground truth use it to pass an oracle. A voxel cell index
+    outside the int64 range raises CoordinateOverflow, as a cloud with a
+    coordinate of magnitude 2**240 or more did when it was built.
     """
-    _check_coordinates(source, target)
     with _in_flight():
         stage_seconds: dict = {}
 
@@ -368,16 +345,11 @@ def register_with_correspondences(
 ) -> RegistrationResult:
     """Pipeline entry for externally computed matches and weights: skips
     downsampling, description, and matching, then behaves exactly like
-    :func:`register` from the safeguard test onward. A coordinate of
-    magnitude 2**240 or more raises CoordinateOverflow."""
-    if matches.source_size != len(source) or matches.target_size != len(target):
-        raise LengthMismatch(
-            f"correspondences sized {matches.source_size}x{matches.target_size} "
-            f"against clouds {len(source)}x{len(target)}"
-        )
+    :func:`register` from the safeguard test onward. Clouds of other sizes
+    than ``matches`` was built for raise LengthMismatch on either branch; a
+    coordinate of 2**240 or more raised CoordinateOverflow when its cloud was built."""
     if len(weights) != len(matches):
         raise LengthMismatch(
             f"{len(weights)} weights for {len(matches)} correspondences"
         )
-    _check_coordinates(source, target)
     return _core(matches, weights, source, target, cfg, {})

@@ -284,11 +284,10 @@ def ransac_register(
     it with theirs).
     """
     _check_length("inlier_threshold", cfg.inlier_threshold)  # None is the pipeline's to fill
+    Xm, Ym = matches.matched(source, target)
     n = len(matches)
     if n < 3:
         raise TooFewCorrespondences(f"RANSAC needs at least 3 pairs, got {n}")
-    Xm = source.points[matches.pairs[:, 0]]
-    Ym = target.points[matches.pairs[:, 1]]
     order, beta = _rank(Xm, Ym, cfg.inlier_threshold)
     Xm, Ym = Xm[order], Ym[order]  # rank order from here on
     min_support = _min_support(n, beta)

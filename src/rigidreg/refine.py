@@ -11,7 +11,8 @@ prefiltered weights phi(w) (:func:`procrustes.prefilter`) and
 :func:`energy_gradient` its exact gradient in (a1, a2, t), the
 differentiable interface for callers that train through the pose. Neither
 they nor :func:`refine` read a threshold: the caller prefilters, and a
-pair is active exactly when its weight is positive.
+pair is active exactly when its weight is positive. All three refuse clouds
+(LengthMismatch) and weights (WeightLengthMismatch) of other sizes than the set.
 
 Refinement minimizes that energy by iteratively reweighted least squares:
 every step is one weighted closed-form fit (:func:`procrustes.solve`)
@@ -35,6 +36,7 @@ from .errors import (
     DegenerateRepresentation,
     NoActiveCorrespondences,
     NotARotation,
+    WeightLengthMismatch,
     _check_count,
     _check_length,
 )
@@ -190,15 +192,13 @@ def _huber_weights(w: np.ndarray, r: np.ndarray, delta: float) -> NDArray[F64]:
 
 def _active_arrays(matches, source, target, weights):
     w = weights.values
+    if len(w) != len(matches):
+        raise WeightLengthMismatch(f"{len(w)} weights for {len(matches)} correspondences")
+    X, Y = matches.matched(source, target)
     active = w > 0.0
     if not active.any():
         raise NoActiveCorrespondences("no correspondence has a positive weight")
-    pairs = matches.pairs[active]
-    return (
-        source.points[pairs[:, 0]],
-        target.points[pairs[:, 1]],
-        w[active],
-    )
+    return X[active], Y[active], w[active]
 
 
 def energy(

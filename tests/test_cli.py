@@ -171,10 +171,13 @@ def test_register_failure_exits_two(capsys, tmp_path):
 
 def test_register_huge_coordinates_exit_one(capsys, tmp_path, patch_cloud):
     # products of the coordinates would overflow float64; the message
-    # says so, and no numpy warning comes first
+    # says so, and no numpy warning comes first. The file is written from
+    # raw bytes, as no PointCloud holds such coordinates
     src = tmp_path / "huge.ply"
-    write_ply(PointCloud(patch_cloud.points * 1e160), src)
     n = len(patch_cloud)
+    header = (f"ply\nformat binary_little_endian 1.0\nelement vertex {n}\n"
+              "property double x\nproperty double y\nproperty double z\nend_header\n")
+    src.write_bytes(header.encode("ascii") + (patch_cloud.points * 1e160).astype("<f8").tobytes())
     weights = tmp_path / "pairs.dgrw"
     write_weight_file(weights, n, n, np.column_stack([np.arange(n), np.arange(n)]), np.ones(n))
     with warnings.catch_warnings():

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from rigidreg import (
+    CoordinateOverflow,
     FeatureConfig,
     FileFormatError,
     MAIN_BRANCH,
@@ -273,6 +274,29 @@ def test_ply_binary_truncation_and_nan(tmp_path):
     path.write_bytes(head + bad.astype("<f8").tobytes())
     with pytest.raises(FileFormatError, match="non-finite coordinate in vertex 1"):
         read_ply(path)
+
+
+@pytest.mark.parametrize("mode", ["ascii", "binary_le"])
+def test_ply_refuses_coordinates_past_the_limit(tmp_path, mode):
+    # the cloud read refuses them, as any PointCloud does
+    path = tmp_path / "huge.ply"
+    header = (f"ply\nformat {'ascii' if mode == 'ascii' else 'binary_little_endian'} 1.0\n"
+              "element vertex 2\nproperty double x\nproperty double y\n"
+              "property double z\nend_header\n")
+
+    def write(points):
+        if mode == "ascii":
+            rows = "".join(f"{x!r} {y!r} {z!r}\n" for x, y, z in points.tolist())
+            path.write_text(header + rows)
+        else:
+            path.write_bytes(header.encode() + points.astype("<f8").tobytes())
+
+    points = np.array([[0.0, 0.0, 0.0], [1.0, -2.0**240, 3.0]])
+    write(points)
+    with pytest.raises(CoordinateOverflow, match="2\\*\\*240"):
+        read_ply(path)
+    write(points / 2)
+    assert read_ply(path).points.tobytes() == (points / 2).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -41,9 +41,14 @@ from rigidreg import (
     SyntheticPairSpec,
     UniformWeighter,
     WeightVector,
+    energy,
+    energy_gradient,
     generate_pair,
+    label_inliers,
+    matrix_to_rot6d,
     ransac_register,
     read_weight_file,
+    refine,
     register,
     register_with_correspondences,
     resolve_weighter,
@@ -439,23 +444,53 @@ def test_register_with_correspondences_validates_sizes(patch_cloud):
         )
 
 
+def _weights(m, value=1.0):
+    return WeightVector(np.full(len(m), value))
+
+
+_A = matrix_to_rot6d(np.eye(3))
+# each public stage that takes clouds, called with a set and two clouds
+_STAGES = {
+    "ransac_register": lambda m, s, t: ransac_register(m, s, t, RansacConfig()),
+    "refine": lambda m, s, t: refine(RigidTransform.identity(), m, s, t, _weights(m),
+                                     RefineConfig()),
+    "energy": lambda m, s, t: energy(_A, np.zeros(3), m, s, t, _weights(m), RefineConfig()),
+    "energy_gradient": lambda m, s, t: energy_gradient(_A, np.zeros(3), m, s, t, _weights(m),
+                                                       RefineConfig()),
+    "label_inliers": lambda m, s, t: label_inliers(m, s, t, RigidTransform.identity(), 0.1),
+    "register_with_correspondences-main": lambda m, s, t: register_with_correspondences(
+        m, _weights(m), s, t, PipelineConfig()),
+    "register_with_correspondences-safeguard": lambda m, s, t: register_with_correspondences(
+        m, _weights(m, 0.0), s, t, PipelineConfig()),
+}
+
+
+@pytest.mark.parametrize("side", ["source", "target"])
+@pytest.mark.parametrize("size", ["larger", "smaller"])
+@pytest.mark.parametrize("stage", list(_STAGES))
+def test_every_stage_refuses_clouds_of_other_sizes(patch_cloud, stage, size, side):
+    # unchecked, a larger cloud is read without error and a smaller one is
+    # indexed past its end; CorrespondenceSet.matched refuses both
+    n = len(patch_cloud)
+    matches = _identity_matches(n - 10 if size == "larger" else n)
+    other = patch_cloud if size == "larger" else PointCloud(patch_cloud.points[:n - 10])
+    fitting = PointCloud(patch_cloud.points[:matches.source_size])
+    source, target = (other, fitting) if side == "source" else (fitting, other)
+    with pytest.raises(LengthMismatch, match=f"correspondences sized {len(matches)}x"):
+        _STAGES[stage](matches, source, target)
+
+
 @pytest.mark.parametrize("weight", [1.0, 0.0], ids=["main", "safeguard"])
 def test_huge_coordinates_raise_coordinate_overflow(patch_cloud, weight):
     # products of such coordinates overflow float64: a package error, not
-    # a numpy warning and then LinAlgError out of the SVD
+    # a numpy warning and then LinAlgError out of the SVD. The cloud refuses
+    # them when it is built, so no stage ever sees them
     n = len(patch_cloud)
     for scale in (1e160, 2.0**240):
-        huge = PointCloud(patch_cloud.points / np.abs(patch_cloud.points).max() * scale)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(CoordinateOverflow, match="2\\*\\*240"):
-                register_with_correspondences(
-                    _identity_matches(n), WeightVector(np.full(n, weight)), huge, huge,
-                    PipelineConfig())
-            # a voxel large enough for the cells, so description would see them
-            with pytest.raises(CoordinateOverflow, match="2\\*\\*240"):
-                register(huge, huge, PipelineConfig(voxel_size=scale / 10),
-                         weighter=lambda m, s, t: np.full(len(m), weight))
+                PointCloud(patch_cloud.points / np.abs(patch_cloud.points).max() * scale)
     assert issubclass(CoordinateOverflow, ValueError)
     # just below the limit every stage still runs, and warns of nothing
     scale = 2.0**239

@@ -22,6 +22,7 @@ from rigidreg import (
     Rot6D,
     SyntheticPairSpec,
     TooFewCorrespondences,
+    WeightLengthMismatch,
     WeightVector,
     energy,
     energy_gradient,
@@ -209,6 +210,24 @@ def test_energy_zero_when_nothing_active(rng):
     assert got == 0.0
     with pytest.raises(NoActiveCorrespondences):
         energy_gradient(a, np.zeros(3), _identity_matches(4), cloud, cloud, WeightVector(np.zeros(4)), cfg)
+
+
+@pytest.mark.parametrize("count", [0, 9, 11])
+@pytest.mark.parametrize("stage", ["refine", "energy", "energy_gradient"])
+def test_stages_refuse_weights_of_another_length(rng, stage, count):
+    # unchecked, numpy's boolean mask raises a bare IndexError, and an empty
+    # vector reads as having no active pair
+    cloud = PointCloud(rng.normal(size=(10, 3)))
+    matches, weights, cfg = _identity_matches(10), WeightVector(np.ones(count)), RefineConfig()
+    a = matrix_to_rot6d(np.eye(3))
+    calls = {
+        "refine": lambda: refine(RigidTransform.identity(), matches, cloud, cloud, weights, cfg),
+        "energy": lambda: energy(a, np.zeros(3), matches, cloud, cloud, weights, cfg),
+        "energy_gradient": lambda: energy_gradient(a, np.zeros(3), matches, cloud, cloud,
+                                                   weights, cfg),
+    }
+    with pytest.raises(WeightLengthMismatch, match=f"{count} weights for 10 correspondences"):
+        calls[stage]()
 
 
 # ---------------------------------------------------------------------------
