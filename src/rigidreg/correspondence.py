@@ -8,6 +8,7 @@ as the built-in uniform and oracle weights.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import Executor, Future, wait
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
@@ -227,10 +228,37 @@ def _descriptor(hist: np.ndarray, sums: np.ndarray) -> np.ndarray:
     return _normalize_rows(np.concatenate([hist, eig], axis=1))
 
 
-def _local_histogram(points: np.ndarray, radius: float, bins: int) -> np.ndarray:
+def _centered(points: np.ndarray, radius: float) -> np.ndarray:
+    """``points`` less a reference that is exact in float64: the bounding-box
+    midpoint rounded to a multiple of q, the least power of two of at least
+    4 * max(extent, radius). A cloud whose midpoint lies within q / 2 of the
+    origin keeps its coordinates, and a cloud shifted by multiples of q is
+    described from the same centered coordinates, so the moment sums do not
+    grow with the distance from the origin."""
+    low, high = points.min(axis=0), points.max(axis=0)
+    mantissa, exponent = math.frexp(4.0 * max(float((high - low).max()), radius))
+    q = math.ldexp(1.0, exponent - (mantissa == 0.5))
+    reference = np.round((low + high) / 2.0 / q) * q
+    return points - reference if reference.any() else points
+
+
+def _local_histogram(points: np.ndarray, radius: float, bins: int,
+                     sums_first: bool = False) -> np.ndarray:
+    """The ``local_histogram`` rows of ``points``. ``sums_first`` forms the
+    moment sums before the distance histogram rather than after it, which
+    changes only when each step runs: two threads describing at once in
+    opposite orders overlap one's histogram pass, which mostly holds the
+    interpreter lock, with the other's tree query and sparse product,
+    which release it."""
+    points = _centered(points, radius)
     row = _neighbor_rows(points, radius)
-    hist = _distance_histogram(points, row, radius, bins)
-    return _descriptor(hist, _moment_sums(points, row))
+    if sums_first:
+        sums = _moment_sums(points, row)
+        hist = _distance_histogram(points, row, radius, bins)
+    else:
+        hist = _distance_histogram(points, row, radius, bins)
+        sums = _moment_sums(points, row)
+    return _descriptor(hist, sums)
 
 
 class _HandOff:
@@ -266,34 +294,6 @@ class _HandOff:
         return fn(*args) if future.cancel() else future.result()
 
 
-def _describe_pair(source: np.ndarray, target: np.ndarray, radius: float, bins: int,
-                   helper: Executor) -> tuple[np.ndarray, np.ndarray]:
-    """``_local_histogram`` of two clouds at once: the calling thread makes
-    every pair-sized array, the rows and the adjacencies, and runs both
-    sparse products; the ``helper`` executor takes both distance histograms
-    and the source's eigenvalues, which allocate only chunk- and
-    point-sized arrays. The calling thread thus holds at most one cloud's
-    adjacency next to the other cloud's rows, and the helper's memory
-    stays small, whatever the allocator keeps for it between calls.
-
-    Tasks are handed off as :class:`_HandOff` describes. The features are
-    bit-identical to two ``_local_histogram`` calls.
-    """
-    with _HandOff(helper) as tasks:
-        source_row = _neighbor_rows(source, radius)
-        source_hist = tasks.start(_distance_histogram, source, source_row, radius, bins)
-        target_row = _neighbor_rows(target, radius)
-        target_hist = tasks.start(_distance_histogram, target, target_row, radius, bins)
-        source_sums = _moment_sums(source, source_row)
-        source_feats = tasks.start(_descriptor, tasks.finish(source_hist), source_sums)
-        # the source's rows go before the target's adjacency is made
-        del source_row, source_hist
-        # the target's sums come first, so the helper has its histogram done
-        target_sums = _moment_sums(target, target_row)
-        target_feats = _descriptor(tasks.finish(target_hist), target_sums)
-        return tasks.finish(source_feats), target_feats
-
-
 def compute_features(cloud: PointCloud, cfg: FeatureConfig) -> PointCloud:
     """Attach a unit-norm descriptor to every point; deterministic given
     inputs, down to the last bit.
@@ -315,18 +315,13 @@ def compute_features(cloud: PointCloud, cfg: FeatureConfig) -> PointCloud:
 # matching and labeling
 # ---------------------------------------------------------------------------
 
-def match_nearest(source: PointCloud, target: PointCloud,
-                  helper: Executor | None = None) -> CorrespondenceSet:
+def match_nearest(source: PointCloud, target: PointCloud) -> CorrespondenceSet:
     """One correspondence per source point: its exact nearest neighbor in
     feature space (ties to the lowest target index).
 
-    The search is one :class:`SpatialIndex` scan, O(n * m * D) for n source
-    and m target descriptors of dimension D, in blocks of at most ``2**16``
-    distances. With a ``helper`` executor, the calling thread scans the
-    first half of the source rows and the helper the second half, against
-    the same index, each half in blocks of its own; a half the helper has
-    not started is scanned here (see :class:`_HandOff`). Every row is
-    decided on its own, so the matches are the same either way.
+    The search is one :class:`SpatialIndex` scan, O(n * m * D) for n
+    source and m target descriptors of dimension D, in blocks of at most
+    ``2**16`` distances.
     """
     if source.features is None or target.features is None:
         raise MissingFeatures("both clouds need features before matching")
@@ -335,15 +330,7 @@ def match_nearest(source: PointCloud, target: PointCloud,
             f"feature dimensions differ: {source.features.shape[1]} vs "
             f"{target.features.shape[1]}"
         )
-    index = SpatialIndex(target.features)
-    if helper is None:
-        nearest = index.nearest(source.features)
-    else:
-        half = len(source) // 2
-        with _HandOff(helper) as tasks:
-            second = tasks.start(index.nearest, source.features[half:])
-            first = index.nearest(source.features[:half])
-            nearest = np.concatenate([first, tasks.finish(second)])
+    nearest = SpatialIndex(target.features).nearest(source.features)
     pairs = np.column_stack([np.arange(len(source), dtype=np.int64), nearest])
     return CorrespondenceSet(pairs, len(source), len(target))
 

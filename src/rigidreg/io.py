@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, BinaryIO
 
 import numpy as np
 
-from .errors import FileFormatError, NotARotation, UnsupportedFormat
+from .errors import CoordinateOverflow, FileFormatError, NotARotation, UnsupportedFormat
 from .geometry import PointCloud, RigidTransform
 from .pipeline import PipelineConfig
 from .results import RegistrationResult
@@ -139,7 +139,8 @@ def _vertex_layout(element: _Element, path: str):
 
 def read_ply(path) -> PointCloud:
     """Read an ASCII or binary-little-endian PLY; extra vertex properties
-    are ignored, point order is preserved."""
+    are ignored, point order is preserved. A coordinate of magnitude 2**240
+    or more raises CoordinateOverflow naming the file."""
     path = os.fspath(path)
     with open(path, "rb") as handle:
         fmt, elements, header_lines = _read_header(handle, path)
@@ -152,9 +153,12 @@ def read_ply(path) -> PointCloud:
             )
         columns = _vertex_layout(vertex, path)
 
-        if fmt == "ascii":
-            return _read_ascii_vertices(handle, path, elements, vertex, columns, header_lines)
-        return _read_binary_vertices(handle, path, elements, vertex, columns)
+        try:
+            if fmt == "ascii":
+                return _read_ascii_vertices(handle, path, elements, vertex, columns, header_lines)
+            return _read_binary_vertices(handle, path, elements, vertex, columns)
+        except CoordinateOverflow as exc:
+            raise CoordinateOverflow(f"{path}: {exc}") from None
 
 
 def _read_ascii_vertices(handle, path, elements, vertex, columns, header_lines):

@@ -31,7 +31,7 @@ from .correspondence import (
     WeightProvider,
     WeightVector,
     _HandOff,
-    _describe_pair,
+    _local_histogram,
     compute_features,
     match_nearest,
     weigh,
@@ -154,11 +154,11 @@ def worker_count() -> int:
 
 
 def _start_describer() -> None:
-    """Make the helper that takes part in description and matching (one
-    long-lived thread, started at its first task) and the count of
-    registrations in flight, with its lock. A forked child makes its own:
-    it inherits the executor without its thread, and the count and the
-    lock as threads that the child does not have left them."""
+    """Make the helper that takes part in description (one long-lived
+    thread, started at its first task) and the count of registrations in
+    flight, with its lock. A forked child makes its own: it inherits the
+    executor without its thread, and the count and the lock as threads
+    that the child does not have left them."""
     global _describer, _running, _running_lock
     _describer = ThreadPoolExecutor(max_workers=1, thread_name_prefix="rigidreg-describe")
     _running = 0
@@ -168,18 +168,6 @@ def _start_describer() -> None:
 _start_describer()
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_start_describer)
-
-
-# the fewest points a cloud of the pair needs for the helper to take only
-# the work that allocates little (correspondence._describe_pair) rather
-# than the whole target, and half of the match scan. A whole cloud on the
-# helper leaves its arrays in the helper's malloc arena: on 3.8k-point
-# pairs that cost 15 MB (+13 %) of peak RSS for 1-8 % of speed, on
-# 700-point pairs about 3 MB (+2.6 %), and there the whole-cloud split
-# described the pair faster. There the hand-off of half the match scan
-# also cost more than it saved: on 60 such pairs match_nearest took a
-# median of 0.35 ms split across the two threads, 0.32 ms in one scan
-_CONCURRENT_POINTS = 2000
 
 
 @contextmanager
@@ -210,29 +198,26 @@ def _helper_for() -> Executor | None:
 
 
 def _describe(source: PointCloud, target: PointCloud, feature: FeatureConfig,
-              helper: Executor | None, large: bool):
+              helper: Executor | None):
     """Both clouds with features attached. Clouds that carry features keep
     them, renormalized, on the calling thread; a pair where only one does
     raises MissingFeatures naming the other, before either is described.
-    Otherwise, with a ``helper`` both clouds are described at once. For a
-    ``large`` pair the helper takes only the work that allocates little
-    (see ``correspondence._describe_pair``); otherwise it describes the
-    whole target while the calling thread describes the source. A task the
-    helper has not started is taken back (``correspondence._HandOff``).
-    Without a helper each cloud is described in turn on the calling
-    thread, the source first."""
+    Otherwise, with a ``helper`` both clouds are described at once: the
+    helper describes the whole target, its moment sums first, while the
+    calling thread describes the source, its distance histogram first (see
+    ``correspondence._local_histogram``). A task the helper has not
+    started is taken back (``correspondence._HandOff``). Without a helper
+    each cloud is described in turn on the calling thread, the source
+    first. The features are the same on every schedule."""
     if (source.features is None) != (target.features is None):
         lacking = "source" if source.features is None else "target"
         raise MissingFeatures(f"the {lacking} cloud carries no features but the other does")
     if helper is None or source.features is not None:
         return compute_features(source, feature), compute_features(target, feature)
-    if not large:
-        with _HandOff(helper) as tasks:
-            described_target = tasks.start(compute_features, target, feature)
-            return compute_features(source, feature), tasks.finish(described_target)
-    source_f, target_f = _describe_pair(source.points, target.points, feature.radius,
-                                        feature.bins, helper)
-    return source.with_features(source_f), target.with_features(target_f)
+    with _HandOff(helper) as tasks:
+        target_f = tasks.start(_local_histogram, target.points, feature.radius, feature.bins, True)
+        described_source = compute_features(source, feature)
+        return described_source, target.with_features(tasks.finish(target_f))
 
 
 def _core(
@@ -316,16 +301,12 @@ def register(
         if len(source_d) < 3 or len(target_d) < 3:
             raise EmptyCloud("fewer than 3 points survive voxel downsampling")
 
-        helper = _helper_for()
-        # only a pair with a cloud of _CONCURRENT_POINTS or more is split
-        # to describe and to match; a smaller one is matched here in one scan
-        large = max(len(source_d), len(target_d)) >= _CONCURRENT_POINTS
         begin = time.perf_counter()
-        source_d, target_d = _describe(source_d, target_d, cfg.feature, helper, large)
+        source_d, target_d = _describe(source_d, target_d, cfg.feature, _helper_for())
         stage_seconds["features"] = time.perf_counter() - begin
 
         begin = time.perf_counter()
-        matches = match_nearest(source_d, target_d, helper if large else None)
+        matches = match_nearest(source_d, target_d)
         stage_seconds["match"] = time.perf_counter() - begin
 
         begin = time.perf_counter()

@@ -190,6 +190,22 @@ def test_register_huge_coordinates_exit_one(capsys, tmp_path, patch_cloud):
     assert "coordinate" in captured.err and "overflow float64" in captured.err
 
 
+def test_register_names_the_file_with_huge_coordinates(capsys, tmp_path, cloud_pair):
+    # of two files, the message names the one at fault
+    src, _, _ = cloud_pair
+    tgt = tmp_path / "huge.ply"
+    header = ("ply\nformat binary_little_endian 1.0\nelement vertex 2\n"
+              "property double x\nproperty double y\nproperty double z\nend_header\n")
+    tgt.write_bytes(header.encode("ascii")
+                    + np.array([[0.0, 0.0, 0.0], [1.0, 2.0**240, 3.0]]).astype("<f8").tobytes())
+    code = main(["register", "--source", str(src), "--target", str(tgt)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {tgt}: ") and "2**240" in captured.err
+    assert str(src) not in captured.err
+
+
 @pytest.mark.parametrize(
     "breakage",
     ["missing_source", "bad_ply", "bad_config", "oracle_config"],

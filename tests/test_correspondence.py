@@ -3,10 +3,8 @@
 import dataclasses
 import importlib
 import math
-import threading
 import tracemalloc
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
 import numpy as np
@@ -23,7 +21,6 @@ from rigidreg import (
     OracleWeighter,
     PointCloud,
     RigidTransform,
-    SpatialIndex,
     SyntheticPairSpec,
     UniformWeighter,
     WeightLengthMismatch,
@@ -36,7 +33,7 @@ from rigidreg import (
     weigh,
 )
 
-from _oracles import nearest_bruteforce, rodrigues
+from _oracles import rodrigues
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +280,20 @@ def test_descriptor_matches_add_at_reference(make_clouds, radius, bins):
         assert np.array_equal(compute_features(cloud, cfg).features, expected)
 
 
+@pytest.mark.parametrize("recipe, voxel_size", [(_DENSE_RECIPE, 0.02), (_OUTLIER_RECIPE, 0.05)],
+                         ids=["dense", "outliers"])
+def test_descriptor_does_not_move_with_a_shifted_cloud(recipe, voxel_size):
+    # a cloud on a 2**-20 m grid and the same cloud shifted exactly, far
+    # from the origin: moment sums of the raw coordinates would lose the
+    # neighborhood covariance to rounding there
+    cfg = FeatureConfig()
+    for cloud in _recipe_clouds(recipe, voxel_size, 7):
+        points = np.round(cloud.points * 2**20) / 2**20
+        base = compute_features(PointCloud(points), cfg).features
+        shifted = PointCloud(points + [2.0**19, 2.0**22, 2.0**7])
+        assert np.abs(compute_features(shifted, cfg).features - base).max() < 1e-9
+
+
 @pytest.mark.parametrize(
     "order, expected",
     [((0, 1, 2), 0.0), ((0, 2, 1), 1.0), ((1, 0, 2), 0.0)],
@@ -421,90 +432,6 @@ def test_match_requires_compatible_features(patch_cloud):
     b = PointCloud(np.zeros((2, 3)), features=np.zeros((2, 5)))
     with pytest.raises(DimensionMismatch):
         match_nearest(a, b)
-
-
-# ---------------------------------------------------------------------------
-# matching on two threads
-# ---------------------------------------------------------------------------
-
-_SCAN_HELPER = "split-scan-helper"
-
-
-@pytest.fixture
-def helper():
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix=_SCAN_HELPER) as pool:
-        yield pool
-
-
-def _record_scans(monkeypatch):
-    """The thread name of every SpatialIndex nearest-index scan, in call order."""
-    names = []
-    nearest = SpatialIndex.nearest
-
-    def record(index, queries):
-        names.append(threading.current_thread().name)
-        return nearest(index, queries)
-
-    monkeypatch.setattr(SpatialIndex, "nearest", record)
-    return names
-
-
-def _scanned_in_halves(names):
-    return sorted(name.startswith(_SCAN_HELPER) for name in names) == [False, True]
-
-
-def test_split_scan_matches_the_serial_scan_on_a_dense_pair(monkeypatch, helper):
-    pair = generate_pair(SyntheticPairSpec(n_points=6000, overlap_ratio=1.0, noise_sigma=0.002,
-                                           outlier_ratio=0.0, seed=21))
-    src, tgt = (compute_features(voxel_downsample(cloud, 0.02, 0), FeatureConfig())
-                for cloud in (pair.source, pair.target))
-    names = _record_scans(monkeypatch)
-    split = match_nearest(src, tgt, helper)
-    assert _scanned_in_halves(names)
-    assert split.pairs.tobytes() == match_nearest(src, tgt).pairs.tobytes()
-
-
-def test_split_scan_decides_ties_on_both_sides_of_the_split(monkeypatch, helper):
-    rng = np.random.default_rng(31)
-    e = np.eye(11)
-    # background vectors far from the rows below
-    stored = rng.normal(size=(60, 11)) + 50.0
-    # a query at e0 is exactly 1 from rows 8 and 3: row 3 wins
-    stored[8], stored[3] = 2.0 * e[0], 0.0 * e[0]
-    # rows 12 and 40 coincide: row 12 wins
-    stored[40] = stored[12] = 5.0 * e[1]
-    # seen from e2, rows 30 and 45 score alike; row 45 is one ulp nearer
-    near = 1e-3
-    stored[30] = e[2] + np.nextafter(near, 1.0) * e[3]
-    stored[45] = e[2] + near * e[4]
-    queries = rng.normal(size=(21, 11))
-    # 21 rows split after row 9: the first three sit on the caller's side
-    queries[[7, 8, 9, 10, 11, 12]] = [e[0], 5.0 * e[1], e[2], e[2], 5.0 * e[1], e[0]]
-    src = PointCloud(np.zeros((21, 3)), features=queries)
-    tgt = PointCloud(np.zeros((60, 3)), features=stored)
-    names = _record_scans(monkeypatch)
-    split = match_nearest(src, tgt, helper)
-    assert _scanned_in_halves(names)
-    assert split.pairs[7:13, 1].tolist() == [3, 12, 45, 45, 12, 3]
-    assert split.pairs.tobytes() == match_nearest(src, tgt).pairs.tobytes()
-    np.testing.assert_array_equal(split.pairs[:, 1], nearest_bruteforce(stored, queries)[0])
-
-
-def test_split_scan_memory_stays_bounded(monkeypatch, helper):
-    # the same bound as one 4000 x 4000 scan: each half holds its own blocks
-    rng = np.random.default_rng(32)
-    src, tgt = (PointCloud(np.zeros((4000, 3)), features=rng.normal(size=(4000, 11)))
-                for _ in range(2))
-    names = _record_scans(monkeypatch)
-    helper.submit(int).result()  # the helper's thread exists before tracing
-    tracemalloc.start()
-    try:
-        match_nearest(src, tgt, helper)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert _scanned_in_halves(names)
-    assert peak < 2 * 2**20
 
 
 def test_label_inliers_strict_threshold():

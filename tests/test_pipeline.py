@@ -16,6 +16,7 @@ from contextlib import contextmanager
 from dataclasses import fields, replace
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -606,8 +607,8 @@ def _record_description(monkeypatch):
             return fn(*args)
         return recorded
 
-    def record_match(source, target, helper):
-        matches = match(source, target, helper)
+    def record_match(source, target):
+        matches = match(source, target)
         matched.append((source.features, target.features, matches.pairs))
         return matches
 
@@ -654,16 +655,14 @@ def _assert_same_matching(a, b):
 
 
 def _dense_pair():
-    # about 3.8k points per cloud survive 2 cm voxels: above the size at
-    # which the helper thread takes part
+    # about 3.8k points per cloud survive 2 cm voxels
     pair = generate_pair(SyntheticPairSpec(n_points=6000, overlap_ratio=1.0,
                                            noise_sigma=0.002, outlier_ratio=0.0, seed=21))
     return pair, PipelineConfig(voxel_size=0.02), OracleWeighter(pair.transform, 0.1)
 
 
 def _outlier_pair():
-    # about 700 points per cloud survive 5 cm voxels: the helper describes
-    # the whole target
+    # about 700 points per cloud survive 5 cm voxels
     pair = generate_pair(SyntheticPairSpec(n_points=1000, overlap_ratio=0.8,
                                            noise_sigma=0.005, outlier_ratio=0.3, seed=22))
     return pair, PipelineConfig(), None
@@ -671,11 +670,22 @@ def _outlier_pair():
 
 # every step of a pair on the calling thread, none on the helper
 _SERIAL = [], ["histogram", "descriptor", "histogram", "descriptor", "scan"]
-# a small pair with the helper: its whole target there, the rest here
+# a pair with the helper: its whole target there, the rest here
 _HELPED = ["histogram", "descriptor"], ["histogram", "descriptor", "scan"]
 
 
-@pytest.mark.parametrize("make", [_dense_pair, _outlier_pair], ids=["dense", "outliers"])
+def _mixed_pair():
+    # the dense pair with its target cut to the third of lowest x: about
+    # 3.8k source and 1.3k target points survive 2 cm voxels, on either
+    # side of the 2000 points that once chose between two splits
+    pair, cfg, weighter = _dense_pair()
+    points = pair.target.points
+    cut = PointCloud(points[points[:, 0] < np.quantile(points[:, 0], 1 / 3)])
+    return SimpleNamespace(source=pair.source, target=cut), cfg, weighter
+
+
+@pytest.mark.parametrize("make", [_dense_pair, _outlier_pair, _mixed_pair],
+                         ids=["dense", "outliers", "mixed"])
 def test_concurrent_and_serial_description_agree(monkeypatch, make):
     pair, cfg, weighter = make()
     runs = {}
@@ -689,24 +699,41 @@ def test_concurrent_and_serial_description_agree(monkeypatch, make):
             steps, matched = _record_description(patch)
             _wait_for_the_helper(patch)
             result = register(pair.source, pair.target, cfg, weighter=weighter)
+            if threads is None:
+                helped = _pipeline.worker_count() > 1
         runs[threads] = steps, matched[0], result
     for threads in (None, "2"):
         _assert_same_matching(runs[threads][1], runs["1"][1])
         _assert_same_registration(runs[threads][2], runs["1"][2])
-    if make is _dense_pair:
-        # both histograms, the source's last step and the second scan half
-        # of the dense pair on the helper, in that order
-        assert _split_steps(runs["2"][0]) == (["histogram", "histogram", "descriptor", "scan"],
-                                              ["descriptor", "scan"])
-    else:
-        # the whole target of the small pair on the helper, the whole
-        # source and the one scan here
-        assert _split_steps(runs["2"][0]) == _HELPED
+    # the whole target on the helper, the whole source and the one scan
+    # here, whatever the sizes of the clouds
+    assert _split_steps(runs["2"][0]) == _HELPED
+    assert _split_steps(runs[None][0]) == (_HELPED if helped else _SERIAL)
     assert _split_steps(runs["1"][0]) == _SERIAL
 
 
+def test_the_threads_describe_in_opposite_orders(monkeypatch):
+    # the helper forms its moment sums before its histogram and the calling
+    # thread after, so one thread's histogram pass, which mostly holds the
+    # interpreter lock, overlaps the other's tree query and product
+    monkeypatch.setenv("DGR_THREADS", "2")
+    pair, cfg, _ = _outlier_pair()
+    steps, _ = _record_description(monkeypatch)
+    _wait_for_the_helper(monkeypatch)
+    moment_sums = _correspondence._moment_sums
+
+    def recorded(*args):
+        steps.append(("sums", threading.current_thread().name))
+        return moment_sums(*args)
+
+    monkeypatch.setattr(_correspondence, "_moment_sums", recorded)
+    register(pair.source, pair.target, cfg)
+    assert _split_steps(steps) == (["sums", "histogram", "descriptor"],
+                                   ["histogram", "sums", "descriptor", "scan"])
+
+
 def _featured_clouds(source_has, target_has):
-    # sizes above the helper's threshold, kept whole by a 1 mm voxel
+    # 2500 and 2600 points, kept whole by a 1 mm voxel
     rng = np.random.default_rng(5)
     clouds = []
     for n, has in ((2500, source_has), (2600, target_has)):
@@ -726,16 +753,18 @@ def test_precomputed_without_features_raises_the_source_error_first(
         monkeypatch, threads, source_has, target_has, first):
     # a pair where one cloud carries features fails naming the other cloud,
     # of `first` points, before either is described; a pair where neither
-    # does gets the local histogram, the cloud of `first` points first
+    # does gets the local histogram, the cloud of `first` points first on
+    # the calling thread, the other there too or on the helper
     monkeypatch.setenv("DGR_THREADS", threads)
+    _wait_for_the_helper(monkeypatch)
     described = []
     rows = _correspondence._neighbor_rows
 
     def recorded(points, radius):
-        described.append(len(points))
+        described.append((len(points), threading.current_thread().name.startswith(_HELPER)))
         return rows(points, radius)
 
-    def stop(source, target, helper):
+    def stop(source, target):
         raise _Described(source, target)
 
     monkeypatch.setattr(_correspondence, "_neighbor_rows", recorded)
@@ -750,7 +779,10 @@ def test_precomputed_without_features_raises_the_source_error_first(
         return
     with pytest.raises(_Described) as stopped:
         register(source, target, cfg)
-    assert described == [first, len(target)]
+    # (points, on the helper), the calling thread's in order first
+    on_helper = threads != "1"
+    assert sorted(described, key=lambda step: step[1]) == [(first, False),
+                                                            (len(target), on_helper)]
     for cloud in stopped.value.args:
         bare = _correspondence.compute_features(PointCloud(cloud.points), cfg.feature)
         assert cloud.features.tobytes() == bare.features.tobytes()
@@ -790,25 +822,21 @@ def test_clouds_that_carry_features_are_matched_on_them(monkeypatch, threads, si
 
 @pytest.mark.parametrize("caller_fails", [False, True])
 def test_register_returns_after_the_helper_is_done(monkeypatch, caller_fails):
-    _check_register_returns_after_the_helper(monkeypatch, caller_fails, _dense_pair,
-                                             ("describe", "match"))
+    _check_register_returns_after_the_helper(monkeypatch, caller_fails, _dense_pair)
 
 
 @pytest.mark.parametrize("caller_fails", [False, True])
 def test_register_returns_after_the_helper_is_done_on_a_small_pair(monkeypatch, caller_fails):
-    # a small pair is matched on the calling thread alone
-    _check_register_returns_after_the_helper(monkeypatch, caller_fails, _outlier_pair,
-                                             ("describe",))
+    _check_register_returns_after_the_helper(monkeypatch, caller_fails, _outlier_pair)
 
 
-def _check_register_returns_after_the_helper(monkeypatch, caller_fails, make, stages):
-    # in each stage the helper's task is slowed, and the caller's work
-    # waits until the helper has begun, then fails or goes on
+def _check_register_returns_after_the_helper(monkeypatch, caller_fails, make):
+    # the helper's histogram is slowed, and the caller's moment sums wait
+    # until the helper has begun it, then fail or go on
     monkeypatch.setenv("DGR_THREADS", "2")
     pair, cfg, weighter = make()
     histogram = _correspondence._distance_histogram
     moment_sums = _correspondence._moment_sums
-    nearest = SpatialIndex.nearest
     started = threading.Event()
     begun, ended = [], []
 
@@ -835,40 +863,27 @@ def _check_register_returns_after_the_helper(monkeypatch, caller_fails, make, st
             return fn(*args)
         return failing
 
-    for stage in stages:
-        started.clear()
-        begun.clear()
-        ended.clear()
-        with monkeypatch.context() as patch:
-            if stage == "describe":
-                patch.setattr(_correspondence, "_distance_histogram", slow_on_helper(histogram))
-                patch.setattr(_correspondence, "_moment_sums", failing_on_caller(moment_sums))
-            else:
-                # the helper's half is submitted before the caller scans its own
-                patch.setattr(SpatialIndex, "nearest",
-                              failing_on_caller(slow_on_helper(nearest)))
-            if caller_fails:
-                with pytest.raises(RuntimeError, match="^caller$"):
-                    register(pair.source, pair.target, cfg, weighter=weighter)
-            else:
-                register(pair.source, pair.target, cfg, weighter=weighter)
-            assert begun and len(ended) == len(begun), stage
+    monkeypatch.setattr(_correspondence, "_distance_histogram", slow_on_helper(histogram))
+    monkeypatch.setattr(_correspondence, "_moment_sums", failing_on_caller(moment_sums))
+    if caller_fails:
+        with pytest.raises(RuntimeError, match="^caller$"):
+            register(pair.source, pair.target, cfg, weighter=weighter)
+    else:
+        register(pair.source, pair.target, cfg, weighter=weighter)
+    assert begun and len(ended) == len(begun)
 
 
 def test_a_busy_helper_gives_its_work_back(monkeypatch):
-    _check_a_busy_helper_gives_its_work_back(
-        monkeypatch, _dense_pair,
-        ("histogram", "histogram", "descriptor", "descriptor", "scan", "scan"))
+    _check_a_busy_helper_gives_its_work_back(monkeypatch, _dense_pair)
 
 
 def test_a_busy_helper_gives_a_small_pair_back(monkeypatch):
+    _check_a_busy_helper_gives_its_work_back(monkeypatch, _outlier_pair)
+
+
+def _check_a_busy_helper_gives_its_work_back(monkeypatch, make):
     # the whole target; the scan was never handed off
-    _check_a_busy_helper_gives_its_work_back(
-        monkeypatch, _outlier_pair,
-        ("histogram", "descriptor", "histogram", "descriptor", "scan"))
-
-
-def _check_a_busy_helper_gives_its_work_back(monkeypatch, make, steps):
+    steps = ("histogram", "descriptor", "histogram", "descriptor", "scan")
     monkeypatch.setenv("DGR_THREADS", "2")
     pair, cfg, weighter = make()
     release = threading.Event()
@@ -881,7 +896,7 @@ def _check_a_busy_helper_gives_its_work_back(monkeypatch, make, steps):
     finally:
         release.set()
         blocker.result(timeout=60)
-    # every task given back ran here, a dense pair's second scan half too
+    # the task given back ran here
     assert names == [(step, threading.current_thread().name) for step in steps]
     monkeypatch.setenv("DGR_THREADS", "1")
     _, serial_matched = _record_description(monkeypatch)
@@ -923,7 +938,7 @@ def test_a_forked_child_describes_with_its_own_helper(monkeypatch):
     names, _ = _record_description(monkeypatch)
     _wait_for_the_helper(monkeypatch)
     expected = register(pair.source, pair.target, cfg, weighter=weighter)
-    helped = ["histogram", "histogram", "descriptor", "scan"]
+    helped = ["histogram", "descriptor"]
     assert _split_steps(names)[0] == helped
     pid = os.fork()
     if pid == 0:  # pragma: no cover - the child reports through its exit status
