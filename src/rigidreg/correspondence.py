@@ -242,23 +242,11 @@ def _centered(points: np.ndarray, radius: float) -> np.ndarray:
     return points - reference if reference.any() else points
 
 
-def _local_histogram(points: np.ndarray, radius: float, bins: int,
-                     sums_first: bool = False) -> np.ndarray:
-    """The ``local_histogram`` rows of ``points``. ``sums_first`` forms the
-    moment sums before the distance histogram rather than after it, which
-    changes only when each step runs: two threads describing at once in
-    opposite orders overlap one's histogram pass, which mostly holds the
-    interpreter lock, with the other's tree query and sparse product,
-    which release it."""
+def _local_histogram(points: np.ndarray, radius: float, bins: int) -> np.ndarray:
     points = _centered(points, radius)
     row = _neighbor_rows(points, radius)
-    if sums_first:
-        sums = _moment_sums(points, row)
-        hist = _distance_histogram(points, row, radius, bins)
-    else:
-        hist = _distance_histogram(points, row, radius, bins)
-        sums = _moment_sums(points, row)
-    return _descriptor(hist, sums)
+    hist = _distance_histogram(points, row, radius, bins)
+    return _descriptor(hist, _moment_sums(points, row))
 
 
 class _HandOff:

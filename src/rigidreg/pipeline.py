@@ -31,7 +31,6 @@ from .correspondence import (
     WeightProvider,
     WeightVector,
     _HandOff,
-    _local_histogram,
     compute_features,
     match_nearest,
     weigh,
@@ -203,21 +202,19 @@ def _describe(source: PointCloud, target: PointCloud, feature: FeatureConfig,
     them, renormalized, on the calling thread; a pair where only one does
     raises MissingFeatures naming the other, before either is described.
     Otherwise, with a ``helper`` both clouds are described at once: the
-    helper describes the whole target, its moment sums first, while the
-    calling thread describes the source, its distance histogram first (see
-    ``correspondence._local_histogram``). A task the helper has not
-    started is taken back (``correspondence._HandOff``). Without a helper
-    each cloud is described in turn on the calling thread, the source
-    first. The features are the same on every schedule."""
+    helper describes the whole target while the calling thread describes
+    the source. A task the helper has not started is taken back
+    (``correspondence._HandOff``). Without a helper each cloud is described
+    in turn on the calling thread, the source first. The features are the
+    same on every schedule."""
     if (source.features is None) != (target.features is None):
         lacking = "source" if source.features is None else "target"
         raise MissingFeatures(f"the {lacking} cloud carries no features but the other does")
     if helper is None or source.features is not None:
         return compute_features(source, feature), compute_features(target, feature)
     with _HandOff(helper) as tasks:
-        target_f = tasks.start(_local_histogram, target.points, feature.radius, feature.bins, True)
-        described_source = compute_features(source, feature)
-        return described_source, target.with_features(tasks.finish(target_f))
+        described_target = tasks.start(compute_features, target, feature)
+        return compute_features(source, feature), tasks.finish(described_target)
 
 
 def _core(

@@ -712,26 +712,6 @@ def test_concurrent_and_serial_description_agree(monkeypatch, make):
     assert _split_steps(runs["1"][0]) == _SERIAL
 
 
-def test_the_threads_describe_in_opposite_orders(monkeypatch):
-    # the helper forms its moment sums before its histogram and the calling
-    # thread after, so one thread's histogram pass, which mostly holds the
-    # interpreter lock, overlaps the other's tree query and product
-    monkeypatch.setenv("DGR_THREADS", "2")
-    pair, cfg, _ = _outlier_pair()
-    steps, _ = _record_description(monkeypatch)
-    _wait_for_the_helper(monkeypatch)
-    moment_sums = _correspondence._moment_sums
-
-    def recorded(*args):
-        steps.append(("sums", threading.current_thread().name))
-        return moment_sums(*args)
-
-    monkeypatch.setattr(_correspondence, "_moment_sums", recorded)
-    register(pair.source, pair.target, cfg)
-    assert _split_steps(steps) == (["sums", "histogram", "descriptor"],
-                                   ["histogram", "sums", "descriptor", "scan"])
-
-
 def _featured_clouds(source_has, target_has):
     # 2500 and 2600 points, kept whole by a 1 mm voxel
     rng = np.random.default_rng(5)
