@@ -9,7 +9,6 @@ as the built-in uniform and oracle weights.
 from __future__ import annotations
 
 import math
-from concurrent.futures import Executor, Future, wait
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
@@ -247,39 +246,6 @@ def _local_histogram(points: np.ndarray, radius: float, bins: int) -> np.ndarray
     row = _neighbor_rows(points, radius)
     hist = _distance_histogram(points, row, radius, bins)
     return _descriptor(hist, _moment_sums(points, row))
-
-
-class _HandOff:
-    """The tasks one call gives a ``helper`` executor, as a context manager.
-
-    :meth:`start` submits a task. :meth:`finish` returns its result, and
-    runs it on the calling thread instead when the helper has not started
-    it, because another caller's task keeps it busy. Leaving the block,
-    however it is left, drops the tasks the helper has not started and
-    waits for the others, so the call returns, or raises, only once the
-    helper is done with its tasks.
-    """
-
-    def __init__(self, helper: Executor):
-        self._helper = helper
-        self._submitted: list[Future] = []
-
-    def __enter__(self) -> "_HandOff":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        for future in self._submitted:
-            future.cancel()
-        wait([future for future in self._submitted if not future.cancelled()])
-
-    def start(self, fn, *args):
-        self._submitted.append(self._helper.submit(fn, *args))
-        return self._submitted[-1], fn, args
-
-    @staticmethod
-    def finish(task):
-        future, fn, args = task
-        return fn(*args) if future.cancel() else future.result()
 
 
 def compute_features(cloud: PointCloud, cfg: FeatureConfig) -> PointCloud:

@@ -6,11 +6,26 @@ from numbers import Real
 import numpy as np
 
 
+def _is_real(value) -> bool:
+    """A real number, such as an int, a float or a numpy float, but never a
+    bool: a knob given True meant something else."""
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
 def _check_length(name: str, value) -> None:
-    """A length is a finite real number > 0 (never a bool)."""
-    if not (isinstance(value, Real) and not isinstance(value, bool)
-            and value > 0 and math.isfinite(value)):
+    """A length is a finite real number > 0."""
+    if not (_is_real(value) and value > 0 and math.isfinite(value)):
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
+def _check_ratio(name: str, value, interval: str) -> None:
+    """A ratio is a real number within ``interval``, one of "[0, 1]",
+    "[0, 1)" and "(0, 1)": a bracket takes its end in, a parenthesis
+    leaves it out."""
+    if not (_is_real(value)
+            and (0 <= value if interval[0] == "[" else 0 < value)
+            and (value <= 1 if interval[-1] == "]" else value < 1)):
+        raise ValueError(f"{name} must lie in {interval}, got {value!r}")
 
 
 def _check_count(name: str, value, minimum: int = 0) -> None:

@@ -21,7 +21,14 @@ from numpy.typing import NDArray
 
 from . import io  # readers looked up at call time, so wrappers of them see every read
 from .correspondence import CorrespondenceSet, FeatureConfig
-from .errors import FileFormatError, RegistrationError, _check_count, _check_length
+from .errors import (
+    FileFormatError,
+    RegistrationError,
+    _check_count,
+    _check_length,
+    _check_ratio,
+    _is_real,
+)
 from .geometry import F64, PointCloud, RigidTransform
 from .pipeline import PipelineConfig, register, resolve_weighter, worker_count
 from .refine import RefineConfig
@@ -101,17 +108,15 @@ class SyntheticPairSpec:
 
     def __post_init__(self) -> None:
         _check_count("n_points", self.n_points, 10)
-        if not 0.0 <= self.overlap_ratio <= 1.0:
-            raise ValueError("overlap_ratio must lie in [0, 1]")
-        if not 0.0 <= self.outlier_ratio <= 1.0:
-            raise ValueError("outlier_ratio must lie in [0, 1]")
-        if not 0.0 <= self.noise_sigma < math.inf:
+        _check_ratio("overlap_ratio", self.overlap_ratio, "[0, 1]")
+        _check_ratio("outlier_ratio", self.outlier_ratio, "[0, 1]")
+        if not (_is_real(self.noise_sigma) and 0.0 <= self.noise_sigma < math.inf):
             raise ValueError("noise_sigma must be finite and non-negative")
         try:
             rotation, translation = self.transform_magnitude
         except (TypeError, ValueError):
             rotation = translation = math.nan
-        if not (0.0 <= rotation < math.inf and 0.0 <= translation < math.inf):
+        if not all(_is_real(v) and 0.0 <= v < math.inf for v in (rotation, translation)):
             raise ValueError(
                 "transform_magnitude must be two finite, non-negative numbers, "
                 f"got {self.transform_magnitude!r}"

@@ -16,6 +16,7 @@ a validated container and instances can be shared freely across threads.
 from __future__ import annotations
 
 import importlib
+import logging  # for the order of the fork hooks: see _IMPORT_LOCK
 import os
 import threading
 from dataclasses import dataclass, field
@@ -50,7 +51,12 @@ _COORDINATE_LIMIT = 2.0**240
 _IMPORT_LOCK = threading.Lock()
 if hasattr(os, "register_at_fork"):
     # a fork waits for an import in progress, so no child inherits the lock
-    # held by a thread it does not have, or a module half imported
+    # held by a thread it does not have, or a module half imported. The
+    # hooks run before a fork last registered first, and logging, imported
+    # above, has registered its own: so this one takes _IMPORT_LOCK before
+    # logging takes its lock. The other way round the fork would hold
+    # logging's lock and wait for a scipy import that waits for it
+    # (scipy's imports call logging.getLogger), and never return
     os.register_at_fork(before=_IMPORT_LOCK.acquire,
                         after_in_parent=_IMPORT_LOCK.release,
                         after_in_child=_IMPORT_LOCK.release)

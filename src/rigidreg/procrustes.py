@@ -38,6 +38,7 @@ from .errors import (
     NumericallyUnstableGradient,
     TooFewCorrespondences,
     WeightLengthMismatch,
+    _check_ratio,
 )
 from .geometry import F64, RigidTransform, _readonly
 
@@ -90,8 +91,7 @@ def prefilter(weights: WeightVector, tau: float) -> WeightVector:
 def normalize_weights(weights: WeightVector, tau: float) -> NormalizedWeights:
     """Zero out weights <= tau with :func:`prefilter`, then divide by the L1
     norm of the survivors."""
-    if not 0.0 <= tau < 1.0:
-        raise ValueError("tau must lie in [0, 1)")
+    _check_ratio("tau", tau, "[0, 1)")
     phi = prefilter(weights, tau).values
     total = float(phi.sum())
     if total == 0.0:

@@ -54,6 +54,7 @@ from .errors import (
     TooFewCorrespondences,
     _check_count,
     _check_length,
+    _check_ratio,
 )
 from .geometry import _BLOCK_ELEMENTS, PointCloud, RigidTransform, _Deferred, is_rotation
 from .procrustes import NormalizedWeights, prefilter, solve, solve_stacked
@@ -93,8 +94,7 @@ class RansacConfig:
         _check_count("max_iterations", self.max_iterations, 1)
         if self.inlier_threshold is not None:
             _check_length("inlier_threshold", self.inlier_threshold)
-        if not 0.0 < self.confidence < 1.0:
-            raise ValueError("confidence must lie in (0, 1)")
+        _check_ratio("confidence", self.confidence, "(0, 1)")
         _check_count("seed", self.seed)
 
 

@@ -106,10 +106,21 @@ def test_spec_validation():
         SyntheticPairSpec(overlap_ratio=1.5)
     with pytest.raises(ValueError):
         SyntheticPairSpec(outlier_ratio=-0.1)
+    for ratio in (None, "0.5", True):
+        with pytest.raises(ValueError, match="overlap_ratio"):
+            SyntheticPairSpec(overlap_ratio=ratio)
+        with pytest.raises(ValueError, match="outlier_ratio"):
+            SyntheticPairSpec(outlier_ratio=ratio)
     with pytest.raises(ValueError):
         SyntheticPairSpec(noise_sigma=-1.0)
+    for sigma in (None, "0.01", True):
+        with pytest.raises(ValueError, match="noise_sigma"):
+            SyntheticPairSpec(noise_sigma=sigma)
     with pytest.raises(ValueError):
         SyntheticPairSpec(transform_magnitude=(-1.0, 0.0))
+    for magnitude in (("1", 1.0), (1.0, None), (True, 1.0)):
+        with pytest.raises(ValueError, match="transform_magnitude"):
+            SyntheticPairSpec(transform_magnitude=magnitude)
 
 
 def test_spec_refuses_a_fractional_point_count():

@@ -153,6 +153,13 @@ def test_config_validation():
         PipelineConfig(safeguard_tau_s=1.0)
     with pytest.raises(ValueError):
         PipelineConfig(prefilter_tau=-0.1)
+    # a ratio must be a real number: not a string, None or a bool
+    for bad in ("0.1", None, True):
+        with pytest.raises(ValueError, match="safeguard_tau_s"):
+            PipelineConfig(safeguard_tau_s=bad)
+    for bad in ("0.4", None, False):
+        with pytest.raises(ValueError, match="prefilter_tau"):
+            PipelineConfig(prefilter_tau=bad)
     with pytest.raises(ValueError):
         PipelineConfig(seed=-1)
     with pytest.raises(ValueError):
@@ -620,18 +627,19 @@ def _record_description(monkeypatch):
 
 
 def _wait_for_the_helper(monkeypatch):
-    """Make each hand-off wait, up to 10 s, until the helper has started
-    its task, so the schedule a test names does not depend on how the
-    operating system schedules the two threads."""
-    finish = _correspondence._HandOff.finish
+    """Stand in for the helper an executor whose ``submit`` returns only
+    once the helper has started the task, or after 10 s, so the schedule a
+    test names does not depend on how the operating system schedules the
+    two threads. A forked child makes a helper of its own in place of it."""
+    helper = _pipeline._describer
 
-    def patient(task):
-        future, deadline = task[0], time.monotonic() + 10.0
+    def submit(fn, *args):
+        future, deadline = helper.submit(fn, *args), time.monotonic() + 10.0
         while not (future.running() or future.done()) and time.monotonic() < deadline:
             time.sleep(1e-4)
-        return finish(task)
+        return future
 
-    monkeypatch.setattr(_correspondence._HandOff, "finish", staticmethod(patient))
+    monkeypatch.setattr(_pipeline, "_describer", SimpleNamespace(submit=submit))
 
 
 def _split_steps(steps):
@@ -800,17 +808,9 @@ def test_clouds_that_carry_features_are_matched_on_them(monkeypatch, threads, si
     np.testing.assert_array_equal(pairs[:, 1], nearest)
 
 
+@pytest.mark.parametrize("make", [_dense_pair, _outlier_pair], ids=["dense", "outliers"])
 @pytest.mark.parametrize("caller_fails", [False, True])
-def test_register_returns_after_the_helper_is_done(monkeypatch, caller_fails):
-    _check_register_returns_after_the_helper(monkeypatch, caller_fails, _dense_pair)
-
-
-@pytest.mark.parametrize("caller_fails", [False, True])
-def test_register_returns_after_the_helper_is_done_on_a_small_pair(monkeypatch, caller_fails):
-    _check_register_returns_after_the_helper(monkeypatch, caller_fails, _outlier_pair)
-
-
-def _check_register_returns_after_the_helper(monkeypatch, caller_fails, make):
+def test_register_returns_after_the_helper_is_done(monkeypatch, caller_fails, make):
     # the helper's histogram is slowed, and the caller's moment sums wait
     # until the helper has begun it, then fail or go on
     monkeypatch.setenv("DGR_THREADS", "2")
@@ -853,15 +853,8 @@ def _check_register_returns_after_the_helper(monkeypatch, caller_fails, make):
     assert begun and len(ended) == len(begun)
 
 
-def test_a_busy_helper_gives_its_work_back(monkeypatch):
-    _check_a_busy_helper_gives_its_work_back(monkeypatch, _dense_pair)
-
-
-def test_a_busy_helper_gives_a_small_pair_back(monkeypatch):
-    _check_a_busy_helper_gives_its_work_back(monkeypatch, _outlier_pair)
-
-
-def _check_a_busy_helper_gives_its_work_back(monkeypatch, make):
+@pytest.mark.parametrize("make", [_dense_pair, _outlier_pair], ids=["dense", "outliers"])
+def test_a_busy_helper_gives_its_work_back(monkeypatch, make):
     # the whole target; the scan was never handed off
     steps = ("histogram", "descriptor", "histogram", "descriptor", "scan")
     monkeypatch.setenv("DGR_THREADS", "2")
@@ -925,6 +918,7 @@ def test_a_forked_child_describes_with_its_own_helper(monkeypatch):
         status = 1
         try:
             names.clear()
+            _wait_for_the_helper(monkeypatch)
             got = register(pair.source, pair.target, cfg, weighter=weighter)
             same = got.transform.rotation.tobytes() == expected.transform.rotation.tobytes()
             status = 0 if same and _split_steps(names)[0] == helped else 1
@@ -1019,6 +1013,7 @@ def test_a_child_forked_during_a_registration_uses_its_own_helper(monkeypatch):
             status = 1
             try:
                 names.clear()
+                _wait_for_the_helper(monkeypatch)
                 register(pair.source, pair.target, cfg)
                 status = 0 if _split_steps(names) == _HELPED else 1
             finally:

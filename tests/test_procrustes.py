@@ -70,6 +70,9 @@ def test_normalize_validates_tau():
         normalize_weights(WeightVector(np.array([0.5])), 1.0)
     with pytest.raises(ValueError):
         normalize_weights(WeightVector(np.array([0.5])), -0.1)
+    for tau in (None, "0.4", False):
+        with pytest.raises(ValueError, match="tau"):
+            normalize_weights(WeightVector(np.array([0.5])), tau)
 
 
 def test_normalized_weights_container_validation():

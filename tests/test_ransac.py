@@ -67,6 +67,9 @@ def test_config_validation():
             RansacConfig(inlier_threshold=threshold)
     with pytest.raises(ValueError):
         RansacConfig(confidence=1.0)
+    for confidence in (None, "0.99", True):
+        with pytest.raises(ValueError, match="confidence"):
+            RansacConfig(confidence=confidence)
 
 
 def test_ransac_register_needs_a_threshold():
